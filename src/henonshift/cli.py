@@ -469,9 +469,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit timestamp for byte-identical reruns")
     sp.add_argument("--config", help="JSON file of flag defaults (dest: value)")
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("HENONSHIFT_THREADS", "0")) or None,
-                    help="cap BLAS/OpenMP threads (default: all cores)")
 
 
 def _add_map_flags(sp: argparse.ArgumentParser) -> None:
@@ -631,9 +628,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = _apply_config(ap, argv)
-        if args.threads:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         if getattr(args, "perturbation", "unset") is None:
             args.perturbation = "classical" if args.b != 0.0 else "zero"
         return args.func(args)

@@ -4,7 +4,8 @@ The 1-D branch (b = 0) finds all fixed points of the p-th iterate by a
 cosine-parametrized bracketing grid (roots cluster quadratically near the
 interval ends, uniformly in the angle), polished by Newton, and at a = -2
 cross-checked against the exact angle family.  The 2-D branch runs a
-batched damped Newton from grid seeds and deduplicates orbits.  Entropy
+batched damped Newton from grid seeds, accepts candidates in one array
+pass and deduplicates orbits through a KD-tree of their points.  Entropy
 comes from the slope of log Card Fix f^p; equidistribution is tested
 against an analytic or sampled reference law.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .henon import HenonMap
 from .params import Params
@@ -220,6 +222,46 @@ class PeriodicCensus:
         return tuple(o for o in self.orbits if o.least_period == self.p)
 
 
+def _orbit_batch(m: HenonMap, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit points z, f z, ..., f^p z as an (n, p + 1, 2) array and the
+    p-step Jacobians Tf^p(z) as (n, 2, 2), for every row z of Z.
+
+    Built-in maps run one elementwise chain rule over all rows at once;
+    custom perturbations have scalar callables, so they loop over rows.
+    """
+    n = len(Z)
+    orb = np.empty((n, p + 1, 2))
+    if m.perturbation == "custom":
+        J = np.empty((n, 2, 2))
+        for i, (x, y) in enumerate(Z.tolist()):
+            A = np.eye(2)
+            orb[i, 0] = x, y
+            for k in range(1, p + 1):
+                A = m.jacobian(x, y) @ A
+                x, y = m.apply(x, y)
+                orb[i, k] = x, y
+            J[i] = A
+        return orb, J
+    b = m.b
+    classical = m.perturbation == "classical"
+    zeros = np.zeros(n)
+    x, y = Z[:, 0].copy(), Z[:, 1].copy()
+    orb[:, 0, 0], orb[:, 0, 1] = x, y
+    j00, j01, j10, j11 = np.ones(n), zeros, zeros, np.ones(n)
+    for k in range(1, p + 1):
+        # chain rule at the current point: J <- Df(x, y) @ J
+        a11 = 2.0 * x
+        j00, j01, j10, j11 = (
+            a11 * j00 + j10,
+            a11 * j01 + j11,
+            b * j00 if classical else zeros,
+            b * j01 if classical else zeros,
+        )
+        x, y = x * x + m.a + y, (b * x if classical else zeros)
+        orb[:, k, 0], orb[:, k, 1] = x, y
+    return orb, np.stack([j00, j01, j10, j11], axis=1).reshape(n, 2, 2)
+
+
 def _newton_batch(
     m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
 ) -> np.ndarray:
@@ -229,32 +271,12 @@ def _newton_batch(
         return _newton_batch_scalar(m, seeds, p, tol, max_iter)
     Z = seeds.astype(float).copy()
     active = np.ones(len(Z), dtype=bool)
-    b = m.b
-    classical = m.perturbation == "classical"
     for _ in range(max_iter):
         if not active.any():
             break
         za = Z[active]
-        x, y = za[:, 0].copy(), za[:, 1].copy()
-        # p-step value and Jacobian product
-        J = np.zeros((len(za), 2, 2))
-        J[:, 0, 0] = 1.0
-        J[:, 1, 1] = 1.0
-        for _step in range(p):
-            # chain rule at the current point: Jf = Df(x, y) @ J
-            Jf = np.empty_like(J)
-            a11 = 2.0 * x
-            Jf[:, 0, 0] = a11 * J[:, 0, 0] + J[:, 1, 0]
-            Jf[:, 0, 1] = a11 * J[:, 0, 1] + J[:, 1, 1]
-            if classical:
-                Jf[:, 1, 0] = b * J[:, 0, 0]
-                Jf[:, 1, 1] = b * J[:, 0, 1]
-            else:
-                Jf[:, 1, 0] = 0.0
-                Jf[:, 1, 1] = 0.0
-            J = Jf
-            x, y = x * x + m.a + y, (b * x if classical else np.zeros_like(x))
-        F = np.column_stack([x, y]) - za
+        orb, J = _orbit_batch(m, za, p)
+        F = orb[:, p] - za
         G = J.copy()
         G[:, 0, 0] -= 1.0
         G[:, 1, 1] -= 1.0
@@ -288,11 +310,8 @@ def _newton_batch_scalar(
     for i in range(len(out)):
         z = out[i]
         for _ in range(max_iter):
-            A = np.eye(2)
-            x, y = float(z[0]), float(z[1])
-            for _step in range(p):
-                A = m.jacobian(x, y) @ A
-                x, y = m.apply(x, y)
+            orb, J = _orbit_batch(m, z[None], p)
+            (x, y), A = orb[0, p], J[0]
             F = np.array([x - z[0], y - z[1]])
             G = A - np.eye(2)
             if abs(np.linalg.det(G)) < 1e-14 or abs(x) > 8 or abs(y) > 8:
@@ -306,31 +325,6 @@ def _newton_batch_scalar(
                 break
         out[i] = z
     return out
-
-
-def _orbit_points(m: HenonMap, z: np.ndarray, p: int) -> np.ndarray:
-    pts = np.empty((p, 2))
-    x, y = float(z[0]), float(z[1])
-    for i in range(p):
-        pts[i] = (x, y)
-        x, y = m.apply(x, y)
-    return pts
-
-
-def _residual_p(m: HenonMap, z: np.ndarray, p: int) -> float:
-    x, y = float(z[0]), float(z[1])
-    for _ in range(p):
-        x, y = m.apply(x, y)
-    return max(abs(x - z[0]), abs(y - z[1]))
-
-
-def _jac_product(m: HenonMap, z: np.ndarray, p: int) -> np.ndarray:
-    A = np.eye(2)
-    x, y = float(z[0]), float(z[1])
-    for _ in range(p):
-        A = m.jacobian(x, y) @ A
-        x, y = m.apply(x, y)
-    return A
 
 
 def _orbit_diagnostics(
@@ -387,18 +381,6 @@ def periodic_orbits_2d(
     if p < 1:
         raise ValueError("period must be >= 1")
 
-    def census_points(seeds: np.ndarray) -> list[np.ndarray]:
-        cands = _newton_batch(m, seeds, p, tol)
-        out = []
-        for z in cands:
-            if np.max(np.abs(z)) > 8.0 or not np.all(np.isfinite(z)):
-                continue
-            diags, _ = _orbit_diagnostics(m, z, p)
-            raw, nrm = diags[p]
-            if raw <= tol * max(1.0, nrm):
-                out.append(z)
-        return out
-
     if isinstance(grid, np.ndarray):
         seeds = grid
         grid_shape = (len(grid), 1)
@@ -406,27 +388,34 @@ def periodic_orbits_2d(
         seeds = _default_seed_grid(m, grid)
         grid_shape = grid
 
-    converged = census_points(seeds)
+    # accept the converged candidates whose backward error is within tol
+    cands = _newton_batch(m, seeds, p, tol)
+    finite = np.all(np.isfinite(cands), axis=1)
+    cands = cands[finite & (np.max(np.abs(cands), axis=1) <= 8.0)]
+    orbs, J = _orbit_batch(m, cands, p)
+    raw = np.max(np.abs(orbs[:, p] - orbs[:, 0]), axis=1)
+    nrm = np.max(np.sum(np.abs(J), axis=2), axis=1)
+    keep = raw <= tol * np.fmax(1.0, nrm)
+    cands, orbs = cands[keep], orbs[keep, :p]
 
-    # dedup into orbits with phase alignment
-    reps: list[np.ndarray] = []
-    orbit_sets: list[np.ndarray] = []
-    radius = 10 * tol
-    for z in converged:
-        orb = _orbit_points(m, z, p)
-        dup = False
-        for known in orbit_sets:
-            d = np.abs(known[None, :, :] - orb[:, None, :]).max(axis=2).min()
-            if d <= radius:
-                dup = True
-                break
-        if not dup:
-            reps.append(z)
-            orbit_sets.append(orb)
+    # Greedy dedup into orbits with phase alignment: in seed order, each
+    # candidate not yet claimed becomes a representative and claims every
+    # candidate with an orbit point within 10 tol (max norm) of its orbit.
+    untaken = np.ones(len(cands), dtype=bool)
+    reps: list[int] = []
+    if len(cands):
+        tree = cKDTree(orbs.reshape(-1, 2))
+        while untaken.any():
+            i = int(untaken.argmax())
+            reps.append(i)
+            untaken[i] = False
+            hits = tree.query_ball_point(orbs[i], r=10 * tol, p=np.inf)
+            untaken[np.concatenate(hits).astype(np.intp) // p] = False
 
     orbits: list[PeriodicOrbit] = []
     all_points: list[np.ndarray] = []
-    for z, orb in zip(reps, orbit_sets):
+    for i in reps:
+        z, orb = cands[i], orbs[i]
         diags, A = _orbit_diagnostics(m, z, p)
         least = p
         for q in sorted(diags):
@@ -466,10 +455,6 @@ def periodic_orbits_2d(
         tol=tol,
         stable=stable,
     )
-
-
-def _divisors(p: int) -> list[int]:
-    return [q for q in range(1, p + 1) if p % q == 0]
 
 
 # ---------------------------------------------------------------------------

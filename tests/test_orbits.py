@@ -26,6 +26,7 @@ from henonshift.orbits import (
     periodic_orbits_2d,
     square_horseshoe_censuses,
 )
+from henonshift.orbits import _default_seed_grid, _newton_batch, _orbit_diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,102 @@ def test_census_2d_explicit_seed_array():
     seeds = np.column_stack([np.linspace(-2.2, 2.2, 3000), np.zeros(3000)])
     census = periodic_orbits_2d(m, 3, grid=seeds)
     assert census.count_fix == 8
+
+
+def _greedy_reference(m, p, seeds, tol=1e-12):
+    """The census written one candidate at a time: scalar acceptance, then
+    the quadratic greedy dedup of every candidate against every accepted
+    orbit.  Returns the accepted candidate count and (representative,
+    least period) per orbit, in seed order."""
+
+    def orbit_points(z):
+        pts = np.empty((p, 2))
+        x, y = float(z[0]), float(z[1])
+        for i in range(p):
+            pts[i] = (x, y)
+            x, y = m.apply(x, y)
+        return pts
+
+    accepted = 0
+    reps, orbit_sets = [], []
+    for z in _newton_batch(m, seeds, p, tol):
+        if np.max(np.abs(z)) > 8.0 or not np.all(np.isfinite(z)):
+            continue
+        raw, nrm = _orbit_diagnostics(m, z, p)[0][p]
+        if raw > tol * max(1.0, nrm):
+            continue
+        accepted += 1
+        orb = orbit_points(z)
+        if any(
+            np.abs(known[None, :, :] - orb[:, None, :]).max(axis=2).min() <= 10 * tol
+            for known in orbit_sets
+        ):
+            continue
+        reps.append(z)
+        orbit_sets.append(orb)
+    out = []
+    for z in reps:
+        diags = _orbit_diagnostics(m, z, p)[0]
+        least = next(
+            (q for q in sorted(diags) if diags[q][0] <= 10 * tol * max(1.0, diags[q][1])), p
+        )
+        out.append(((float(z[0]), float(z[1])), least))
+    return accepted, out
+
+
+def _assert_matches_reference(census, m, p, seeds):
+    accepted, ref = _greedy_reference(m, p, seeds)
+    assert [(o.representative, o.least_period) for o in census.orbits] == ref
+    assert census.count_fix == sum(q for _, q in ref)
+    return accepted, ref
+
+
+@pytest.mark.parametrize("a,b", [(-2.0 + 1e-3, 1e-6), (-1.4, 0.3)])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_census_2d_dedup_matches_greedy_reference(a, b, p):
+    m = HenonMap(a=a, b=b, perturbation="classical")
+    census = periodic_orbits_2d(m, p, grid=(64, 2))
+    accepted, ref = _assert_matches_reference(census, m, p, _default_seed_grid(m, (64, 2)))
+    assert ref
+    # many seeds converge onto each orbit, so the dedup does real work
+    assert accepted > len(ref)
+
+
+def test_census_2d_dedup_merges_phases_of_one_orbit():
+    m = HenonMap(a=-2.0 + 1e-3, b=1e-6, perturbation="classical")
+    census = periodic_orbits_2d(m, 3, grid=(64, 2))
+    orbit = next(o for o in census.orbits if o.least_period == 3)
+    # all three points of that orbit, starting at its second phase
+    pts = [np.array(orbit.representative)]
+    for _ in range(2):
+        pts.append(np.array(m.apply(*pts[-1])))
+    seeds = np.array([pts[1], pts[2], pts[0], pts[1]]) + 1e-9
+    phased = periodic_orbits_2d(m, 3, grid=seeds)
+    accepted, ref = _assert_matches_reference(phased, m, 3, seeds)
+    assert accepted == 4
+    assert phased.count_fix == 3 and len(phased.orbits) == 1
+    assert np.allclose(phased.orbits[0].representative, pts[1], atol=1e-8)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_census_2d_custom_twin_matches_classical(p):
+    b = 1e-6
+    m = HenonMap(a=-2.0 + 1e-3, b=b, perturbation="classical")
+    twin = HenonMap(
+        a=m.a,
+        b=b,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.0, b * x),
+        custom_dB=lambda x, y: np.array([[0.0, 0.0], [b, 0.0]]),
+    )
+    grid = (32, 2)
+    census = periodic_orbits_2d(twin, p, grid=grid)
+    _assert_matches_reference(census, twin, p, _default_seed_grid(twin, grid))
+    ref = periodic_orbits_2d(m, p, grid=grid)
+    assert census.count_fix == ref.count_fix == 2**p
+    assert sorted(o.least_period for o in census.orbits) == sorted(
+        o.least_period for o in ref.orbits
+    )
 
 
 # ---------------------------------------------------------------------------
