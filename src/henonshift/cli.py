@@ -616,11 +616,20 @@ def _apply_config(ap: _Parser, argv: list[str]) -> argparse.Namespace:
 
 
 def _explicit_dests(argv: list[str]) -> set[str]:
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return out
+    """Dests that argv sets itself, however argparse matched the flag: a
+    full name, a unique abbreviation, --flag=value, or a dest unlike it.
+
+    Parses argv again with every default suppressed, so only what the
+    command line sets is left in the namespace.
+    """
+    bare = build_parser()
+    parsers = [bare]
+    for parser in parsers:
+        for action in parser._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(bare.parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

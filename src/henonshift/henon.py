@@ -2,6 +2,8 @@
 
 The map is (x, y) -> (x^2 + a + y, 0) + B(x, y); built-in perturbations are
 B = 0 and the classical B = (0, b x), both with |det Tf| <= b everywhere.
+HenonMap evaluates f and Tf on arrays of points, and the p-step chain rule
+and the tangent recurrence below serve every perturbation alike.
 On top sit the tangent cocycle (log-norm ladder, safe for 10^7 steps), cone
 fields, the sampled expansion and norm-bound checkers, hyperbolic-times and
 partial-collapse inequalities, most-contracted directions, and Lyapunov
@@ -12,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,13 +79,51 @@ class HenonMap:
         bx, by = self.custom_B(x, y)
         return (x * x + self.a + y + bx, by)
 
-    def jacobian(self, x: float, y: float) -> np.ndarray:
-        J = np.array([[2.0 * x, 1.0], [0.0, 0.0]])
-        if self.perturbation == "classical":
-            J[1, 0] = self.b
-        elif self.perturbation == "custom":
-            J = J + self.custom_dB(x, y)
+    def step(self, Z: np.ndarray) -> np.ndarray:
+        """f at every row of an (n, 2) array, as (n, 2)."""
+        return np.array(self._step(Z[:, 0], Z[:, 1])).T
+
+    def jac(self, Z: np.ndarray) -> np.ndarray:
+        """Tf at every row of an (n, 2) array, as (n, 2, 2)."""
+        J = np.empty((len(Z), 2, 2))
+        for i, row in enumerate(self._jac_entries(Z[:, 0], Z[:, 1])):
+            for j, d in enumerate(row):
+                J[:, i, j] = d
         return J
+
+    def jacobian(self, x: float, y: float) -> np.ndarray:
+        return self.jac(np.array([[x, y]], dtype=float))[0]
+
+    # step and jac work on coordinate arrays x, y of length n: every
+    # elementwise operation then runs over contiguous memory.
+
+    def _step(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of f at the points (x, y)."""
+        if self.perturbation == "custom":
+            bx, by = self._custom_rows(self.custom_B, x, y, 2)
+            return x * x + self.a + y + bx, by
+        second = self.b * x if self.perturbation == "classical" else np.zeros(len(x))
+        return x * x + self.a + y, second
+
+    def _jac_entries(self, x: np.ndarray, y: np.ndarray) -> tuple[tuple, tuple]:
+        """The entries ((d00, d01), (d10, d11)) of Tf at the points (x, y).
+
+        An entry that is the same at every point is a float, the others
+        are arrays: a chain rule over many points then costs no more than
+        the closed form of a built-in map.
+        """
+        d00 = 2.0 * x
+        if self.perturbation == "custom":
+            e00, e01, e10, e11 = self._custom_rows(self.custom_dB, x, y, 4)
+            return (d00 + e00, 1.0 + e01), (e10, e11)
+        return (d00, 1.0), (self.b if self.perturbation == "classical" else 0.0, 0.0)
+
+    @staticmethod
+    def _custom_rows(fn: Callable, x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
+        """A scalar callable of (x, y) at every point, flattened to width
+        entries, as a (width, n) array."""
+        out = np.array([fn(u, v) for u, v in zip(x.tolist(), y.tolist())], dtype=float)
+        return out.reshape(len(x), width).T
 
     def second_derivative_norm(self, x: float, y: float) -> float:
         """Operator norm of the second derivative (2 for the built-ins)."""
@@ -193,6 +234,34 @@ def iterate(
     return OrbitSegment(points=pts, escaped=False, escape_time=None, n_requested=n)
 
 
+def _orbit_batch(
+    m: HenonMap, Z: np.ndarray, p: int
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The p-step chain rule for every row z of an (n, 2) array Z.
+
+    Returns the orbit points z, f z, ..., f^p z as (n, p + 1, 2) and, for
+    every divisor q of p, the products Tf^q(z) as (n, 2, 2).  Both are
+    views of arrays with the point index last, so that every elementwise
+    operation runs over contiguous memory.
+    """
+    n = len(Z)
+    orb = np.empty((p + 1, 2, n))
+    orb[0] = Z.T
+    x, y = orb[0]
+    r0, r1 = np.zeros((2, 2, n))  # the rows of J = Tf^k(z), each (2, n)
+    r0[0] = r1[1] = 1.0
+    jacs: dict[int, np.ndarray] = {}
+    for k in range(1, p + 1):
+        # J <- Tf(z_{k-1}) @ J, one row of J at a time
+        (d00, d01), (d10, d11) = m._jac_entries(x, y)
+        r0, r1 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1
+        x, y = m._step(x, y)
+        orb[k, 0], orb[k, 1] = x, y
+        if p % k == 0:
+            jacs[k] = np.array([r0, r1]).transpose(2, 0, 1)
+    return orb.transpose(2, 0, 1), jacs
+
+
 @dataclass(frozen=True)
 class TangentProduct:
     """Log-norm ladder of a tangent vector along an orbit.
@@ -218,6 +287,74 @@ class TangentProduct:
         return float(self.logdets[:k].sum())
 
 
+def _unit(u: Sequence[float]) -> tuple[float, float]:
+    ux, uy = float(u[0]), float(u[1])
+    norm = math.hypot(ux, uy)
+    if norm == 0:
+        raise ValueError("tangent vector must be nonzero")
+    return ux / norm, uy / norm
+
+
+# Steps per jac call in the tangent recurrence: it bounds the memory that
+# lyapunov holds at any time, whatever the horizon.
+_BLOCK = 1024
+
+
+def _tangent_blocks(
+    m: HenonMap,
+    point: Sequence[float],
+    u: tuple[float, float],
+    n: int,
+    escape_radius: float,
+) -> Iterator[tuple[array, np.ndarray, np.ndarray, bool]]:
+    """The tangent recurrence from the unit vector u, up to n steps.
+
+    Walks the orbit with the scalar map, takes each block's Jacobians from
+    one jac call and yields, per block, the ladder values ell, the unit
+    image directions, the log |det Tf| of its steps and whether the orbit
+    escaped at its last step.  A vector that falls into an exact kernel
+    ends the walk: its block ends with ell = -inf, one direction short.
+    """
+    x, y = float(point[0]), float(point[1])
+    ux, uy = u
+    s = 0.0
+    k = 0
+    while k < n:
+        # arrays of doubles, not lists of floats: a block holds no Python
+        # object per step
+        xs, ys = array("d"), array("d")
+        escaped = False
+        for _ in range(min(_BLOCK, n - k)):
+            xs.append(x)
+            ys.append(y)
+            x, y = m.apply(x, y)
+            if abs(x) > escape_radius or abs(y) > escape_radius:
+                escaped = True
+                break
+        J = m.jac(np.array([xs, ys]).T)
+        with np.errstate(divide="ignore"):
+            logdets = np.log(np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]))
+        ell, dx, dy = array("d"), array("d"), array("d")
+        entries = iter(array("d", J.tobytes()))
+        for j00, j01, j10, j11 in zip(entries, entries, entries, entries):
+            vx = j00 * ux + j01 * uy
+            vy = j10 * ux + j11 * uy
+            vnorm = math.hypot(vx, vy)
+            if vnorm == 0.0:
+                ell.append(-math.inf)
+                yield ell, np.array([dx, dy]).T, logdets[: len(ell)], False
+                return
+            s += math.log(vnorm)
+            ux, uy = vx / vnorm, vy / vnorm
+            ell.append(s)
+            dx.append(ux)
+            dy.append(uy)
+        k += len(xs)
+        yield ell, np.array([dx, dy]).T, logdets, escaped
+        if escaped:
+            return
+
+
 def tangent_cocycle(
     m: HenonMap,
     point: Sequence[float],
@@ -233,59 +370,23 @@ def tangent_cocycle(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ux, uy = float(u[0]), float(u[1])
-    norm = math.hypot(ux, uy)
-    if norm == 0:
-        raise ValueError("tangent vector must be nonzero")
-    ux, uy = ux / norm, uy / norm
-
-    x, y = float(point[0]), float(point[1])
-    ell = np.zeros(n + 1)
-    dirs = np.empty((n + 1, 2))
-    dirs[0] = (ux, uy)
+    u = _unit(u)
+    ell = np.full(n + 1, -math.inf)
+    ell[0] = 0.0
+    dirs = np.full((n + 1, 2), math.nan)
+    dirs[0] = u
     logdets = np.empty(n)
-    escaped = False
-    escape_time = None
-    classical = m.perturbation == "classical"
-    zero = m.perturbation == "zero"
     k = 0
-    for k in range(1, n + 1):
-        if zero or classical:
-            j21 = m.b if classical else 0.0
-            vx = 2.0 * x * ux + uy
-            vy = j21 * ux
-            det = -j21  # det [[2x, 1], [j21, 0]]
-        else:
-            J = m.jacobian(x, y)
-            vx = J[0, 0] * ux + J[0, 1] * uy
-            vy = J[1, 0] * ux + J[1, 1] * uy
-            det = float(np.linalg.det(J))
-        logdets[k - 1] = math.log(abs(det)) if det != 0.0 else -math.inf
-        vnorm = math.hypot(vx, vy)
-        if vnorm == 0.0:
-            ell[k:] = -math.inf
-            dirs[k:] = math.nan
-            logdets[k:] = logdets[k - 1]
-            return TangentProduct(
-                base=(float(point[0]), float(point[1])),
-                n=n,
-                ell=ell,
-                directions=dirs,
-                logdets=logdets,
-                escaped=False,
-                escape_time=None,
-            )
-        ell[k] = ell[k - 1] + math.log(vnorm)
-        ux, uy = vx / vnorm, vy / vnorm
-        dirs[k] = (ux, uy)
-        x, y = m.apply(x, y)
-        if abs(x) > escape_radius or abs(y) > escape_radius:
-            escaped = True
-            escape_time = k
-            ell = ell[: k + 1]
-            dirs = dirs[: k + 1]
-            logdets = logdets[:k]
-            break
+    escaped = False
+    for e, d, ld, escaped in _tangent_blocks(m, point, u, n, escape_radius):
+        ell[k + 1 : k + 1 + len(e)] = e
+        dirs[k + 1 : k + 1 + len(d)] = d
+        logdets[k : k + len(ld)] = ld
+        k += len(e)
+    if ell[k] == -math.inf:
+        logdets[k:] = logdets[k - 1]
+    elif escaped:
+        ell, dirs, logdets = ell[: k + 1], dirs[: k + 1], logdets[:k]
     return TangentProduct(
         base=(float(point[0]), float(point[1])),
         n=k if escaped else n,
@@ -293,7 +394,7 @@ def tangent_cocycle(
         directions=dirs,
         logdets=logdets,
         escaped=escaped,
-        escape_time=escape_time,
+        escape_time=k if escaped else None,
     )
 
 
@@ -404,22 +505,16 @@ def check_G6(
 ) -> G6Report:
     """Sampled first/second derivative norms against e^{c+} = 5."""
     bound = math.exp(params.c_plus)
-    sup1 = 0.0
-    sup2 = 0.0
-    arg = (math.nan, math.nan)
-    for z in sample:
-        x, y = float(z[0]), float(z[1])
-        n1 = float(np.linalg.norm(m.jacobian(x, y), 2))
-        if n1 > sup1:
-            sup1 = n1
-            arg = (x, y)
-        sup2 = max(sup2, m.second_derivative_norm(x, y))
+    Z = np.array([(float(z[0]), float(z[1])) for z in sample]).reshape(-1, 2)
+    norms = np.linalg.norm(m.jac(Z), 2, axis=(1, 2))
+    sup1 = float(norms.max(initial=0.0))
+    sup2 = max((m.second_derivative_norm(x, y) for x, y in Z.tolist()), default=0.0)
     return G6Report(
         sup_Tf=sup1,
         sup_T2f=sup2,
         bound=bound,
         ok=bool(sup1 <= bound and sup2 <= bound),
-        argmax=arg,
+        argmax=tuple(Z[norms.argmax()].tolist()) if sup1 > 0.0 else (math.nan, math.nan),
     )
 
 
@@ -461,12 +556,8 @@ def most_contracted_direction(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    x, y = float(point[0]), float(point[1])
-    A = np.eye(2)
-    for _ in range(k):
-        A = m.jacobian(x, y) @ A
-        x, y = m.apply(x, y)
-    _, sv, vt = np.linalg.svd(A)
+    _, jacs = _orbit_batch(m, np.array([point], dtype=float), k)
+    _, sv, vt = np.linalg.svd(jacs[k][0])
     gap = float(sv[0] - sv[1])
     if gap == 0.0:
         raise ValueError("singular values coincide; most contracted direction undefined (gap 0)")
@@ -485,10 +576,14 @@ def lyapunov(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tp = tangent_cocycle(m, point, u, n)
-    if tp.escaped:
-        raise RuntimeError(f"orbit escaped at step {tp.escape_time}")
-    lam1 = float(tp.ell[n]) / n
-    mean_logdet = float(tp.logdets.sum()) / n
-    lam2 = mean_logdet - lam1
-    return lam1, lam2
+    ell = 0.0
+    logdet = 0.0
+    k = 0
+    for e, _, ld, escaped in _tangent_blocks(m, point, _unit(u), n, escape_radius=10.0):
+        k += len(e)
+        if escaped:
+            raise RuntimeError(f"orbit escaped at step {k}")
+        ell = e[-1]
+        logdet += float(ld.sum())
+    lam1 = ell / n
+    return lam1, logdet / n - lam1

@@ -100,9 +100,6 @@ class MarkovGraph:
     def index(self, v: str) -> int:
         return self.vertices.index(v)
 
-    def successors(self, v: str) -> list[str]:
-        return sorted(t for (s, t) in self.arrows if s == v)
-
     def adjacency(self) -> list[list[int]]:
         """0/1 adjacency matrix as exact integers, row = source."""
         idx = {v: i for i, v in enumerate(self.vertices)}

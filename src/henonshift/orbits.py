@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .henon import HenonMap
+from .henon import HenonMap, _orbit_batch
 from .params import Params
 
 __all__ = [
@@ -222,70 +222,27 @@ class PeriodicCensus:
         return tuple(o for o in self.orbits if o.least_period == self.p)
 
 
-def _orbit_batch(m: HenonMap, Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit points z, f z, ..., f^p z as an (n, p + 1, 2) array and the
-    p-step Jacobians Tf^p(z) as (n, 2, 2), for every row z of Z.
-
-    Built-in maps run one elementwise chain rule over all rows at once;
-    custom perturbations have scalar callables, so they loop over rows.
-    """
-    n = len(Z)
-    orb = np.empty((n, p + 1, 2))
-    if m.perturbation == "custom":
-        J = np.empty((n, 2, 2))
-        for i, (x, y) in enumerate(Z.tolist()):
-            A = np.eye(2)
-            orb[i, 0] = x, y
-            for k in range(1, p + 1):
-                A = m.jacobian(x, y) @ A
-                x, y = m.apply(x, y)
-                orb[i, k] = x, y
-            J[i] = A
-        return orb, J
-    b = m.b
-    classical = m.perturbation == "classical"
-    zeros = np.zeros(n)
-    x, y = Z[:, 0].copy(), Z[:, 1].copy()
-    orb[:, 0, 0], orb[:, 0, 1] = x, y
-    j00, j01, j10, j11 = np.ones(n), zeros, zeros, np.ones(n)
-    for k in range(1, p + 1):
-        # chain rule at the current point: J <- Df(x, y) @ J
-        a11 = 2.0 * x
-        j00, j01, j10, j11 = (
-            a11 * j00 + j10,
-            a11 * j01 + j11,
-            b * j00 if classical else zeros,
-            b * j01 if classical else zeros,
-        )
-        x, y = x * x + m.a + y, (b * x if classical else zeros)
-        orb[:, k, 0], orb[:, k, 1] = x, y
-    return orb, np.stack([j00, j01, j10, j11], axis=1).reshape(n, 2, 2)
-
-
 def _newton_batch(
     m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
 ) -> np.ndarray:
     """Damped Newton for f^p(z) = z on all seeds at once; returns the
     converged points (unfiltered for duplicates)."""
-    if m.perturbation == "custom":
-        return _newton_batch_scalar(m, seeds, p, tol, max_iter)
     Z = seeds.astype(float).copy()
     active = np.ones(len(Z), dtype=bool)
     for _ in range(max_iter):
         if not active.any():
             break
         za = Z[active]
-        orb, J = _orbit_batch(m, za, p)
+        orb, jacs = _orbit_batch(m, za, p)
         F = orb[:, p] - za
-        G = J.copy()
-        G[:, 0, 0] -= 1.0
-        G[:, 1, 1] -= 1.0
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        J = jacs[p]  # G = J - Id
+        g00, g01, g10, g11 = J[:, 0, 0] - 1.0, J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] - 1.0
+        det = g00 * g11 - g01 * g10
         ok = np.abs(det) > 1e-14
         delta = np.zeros_like(F)
         inv_det = np.where(ok, det, 1.0)
-        delta[:, 0] = -(G[:, 1, 1] * F[:, 0] - G[:, 0, 1] * F[:, 1]) / inv_det
-        delta[:, 1] = -(-G[:, 1, 0] * F[:, 0] + G[:, 0, 0] * F[:, 1]) / inv_det
+        delta[:, 0] = -(g11 * F[:, 0] - g01 * F[:, 1]) / inv_det
+        delta[:, 1] = -(-g10 * F[:, 0] + g00 * F[:, 1]) / inv_det
         delta[~ok] = 0.0
         norms = np.linalg.norm(delta, axis=1)
         big = norms > 0.1
@@ -299,53 +256,6 @@ def _newton_batch(
         idx = np.nonzero(active)[0]
         active[idx] = still
     return Z
-
-
-def _newton_batch_scalar(
-    m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
-) -> np.ndarray:
-    """Per-seed Newton for maps with a custom perturbation (no fast
-    vectorized Jacobian available)."""
-    out = seeds.astype(float).copy()
-    for i in range(len(out)):
-        z = out[i]
-        for _ in range(max_iter):
-            orb, J = _orbit_batch(m, z[None], p)
-            (x, y), A = orb[0, p], J[0]
-            F = np.array([x - z[0], y - z[1]])
-            G = A - np.eye(2)
-            if abs(np.linalg.det(G)) < 1e-14 or abs(x) > 8 or abs(y) > 8:
-                break
-            delta = np.linalg.solve(G, -F)
-            nrm = float(np.linalg.norm(delta))
-            if nrm > 0.1:
-                delta *= 0.1 / nrm
-            z = z + delta
-            if float(np.linalg.norm(F)) <= 0.1 * tol or nrm < 1e-17:
-                break
-        out[i] = z
-    return out
-
-
-def _orbit_diagnostics(
-    m: HenonMap, z: np.ndarray, p: int
-) -> tuple[dict[int, tuple[float, float]], np.ndarray]:
-    """Raw residual and Jacobian norm after each divisor of p steps.
-
-    The norm is what scales float noise in the closing condition, so all
-    residual acceptance uses the backward error raw / max(1, norm).
-    """
-    A = np.eye(2)
-    x, y = float(z[0]), float(z[1])
-    out: dict[int, tuple[float, float]] = {}
-    for k in range(1, p + 1):
-        A = m.jacobian(x, y) @ A
-        x, y = m.apply(x, y)
-        if p % k == 0:
-            raw = max(abs(x - z[0]), abs(y - z[1]))
-            nrm = float(np.max(np.sum(np.abs(A), axis=1)))
-            out[k] = (raw, nrm)
-    return out, A
 
 
 def _default_seed_grid(m: HenonMap, grid: tuple[int, int]) -> np.ndarray:
@@ -392,10 +302,13 @@ def periodic_orbits_2d(
     cands = _newton_batch(m, seeds, p, tol)
     finite = np.all(np.isfinite(cands), axis=1)
     cands = cands[finite & (np.max(np.abs(cands), axis=1) <= 8.0)]
-    orbs, J = _orbit_batch(m, cands, p)
-    raw = np.max(np.abs(orbs[:, p] - orbs[:, 0]), axis=1)
-    nrm = np.max(np.sum(np.abs(J), axis=2), axis=1)
-    keep = raw <= tol * np.fmax(1.0, nrm)
+    orbs, jacs = _orbit_batch(m, cands, p)
+    # raw closing residual and max-row-sum norm of Tf^q after each divisor
+    # q of p; the norm scales float noise in the closing condition, so all
+    # residual acceptance uses the backward error raw / max(1, norm)
+    raw = {q: np.max(np.abs(orbs[:, q] - orbs[:, 0]), axis=1) for q in jacs}
+    nrm = {q: np.max(np.sum(np.abs(J), axis=2), axis=1) for q, J in jacs.items()}
+    keep = np.nonzero(raw[p] <= tol * np.fmax(1.0, nrm[p]))[0]
     cands, orbs = cands[keep], orbs[keep, :p]
 
     # Greedy dedup into orbits with phase alignment: in seed order, each
@@ -412,31 +325,27 @@ def periodic_orbits_2d(
             hits = tree.query_ball_point(orbs[i], r=10 * tol, p=np.inf)
             untaken[np.concatenate(hits).astype(np.intp) // p] = False
 
+    r = keep[reps]  # the representatives' rows of the chain-rule output
+    # least period: the smallest divisor q whose orbit closes within 10 tol
+    least = np.full(len(r), p)
+    for q in sorted(jacs, reverse=True):
+        least[raw[q][r] <= 10 * tol * np.fmax(1.0, nrm[q][r])] = q
+    eigs = np.linalg.eigvals(jacs[p][r])
+    nh = np.abs(np.linalg.det(jacs[p][r] - np.eye(2))) < 1e-12
+    residual = raw[p][r] / np.fmax(1.0, nrm[p][r])
     orbits: list[PeriodicOrbit] = []
     all_points: list[np.ndarray] = []
-    for i in reps:
-        z, orb = cands[i], orbs[i]
-        diags, A = _orbit_diagnostics(m, z, p)
-        least = p
-        for q in sorted(diags):
-            raw_q, nrm_q = diags[q]
-            if raw_q <= 10 * tol * max(1.0, nrm_q):
-                least = q
-                break
-        eig = np.linalg.eigvals(A)
-        G = A - np.eye(2)
-        nh = bool(abs(np.linalg.det(G)) < 1e-12)
-        raw_p, nrm_p = diags[p]
+    for j, i in enumerate(reps):
         orbits.append(
             PeriodicOrbit(
-                representative=(float(z[0]), float(z[1])),
-                least_period=least,
-                multipliers=(complex(eig[0]), complex(eig[1])),
-                residual=raw_p / max(1.0, nrm_p),
-                non_hyperbolic=nh,
+                representative=(float(cands[i, 0]), float(cands[i, 1])),
+                least_period=int(least[j]),
+                multipliers=(complex(eigs[j, 0]), complex(eigs[j, 1])),
+                residual=float(residual[j]),
+                non_hyperbolic=bool(nh[j]),
             )
         )
-        all_points.append(orb[:least])
+        all_points.append(orbs[i, : least[j]])
 
     count_fix = sum(o.least_period for o in orbits)
     points = np.vstack(all_points) if all_points else np.empty((0, 2))

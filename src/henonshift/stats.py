@@ -503,33 +503,17 @@ def return_decay_check(
     vals = np.array(
         [pi_e * census.zstar(int(nn)) * math.exp(-h_top * int(nn)) for nn in lags]
     )
-    positive = vals > noise_floor
-    used = lags[positive]
-    if used.size <= 2:
-        return DecayFit(
-            lags=tuple(int(v) for v in lags),
-            values=tuple(float(v) for v in vals),
-            kappa=0.0,
-            r2=1.0,
-            noise_floor=noise_floor,
-            used=tuple(int(v) for v in used),
-            degenerate=True,
-            exponential=True,
-        )
-    y = np.log(vals[positive])
-    slope, intercept = np.polyfit(used, y, 1)
-    pred = slope * used + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    kappa = float(math.exp(slope))
+    kappa, r2, used, _ = _fit_decay(lags, vals, noise_floor)
+    degenerate = len(used) <= 2
+    if degenerate:
+        kappa, r2 = 0.0, 1.0
     return DecayFit(
         lags=tuple(int(v) for v in lags),
         values=tuple(float(v) for v in vals),
         kappa=kappa,
         r2=r2,
         noise_floor=noise_floor,
-        used=tuple(int(v) for v in used),
-        degenerate=False,
-        exponential=bool(kappa < 1.0),
+        used=used,
+        degenerate=degenerate,
+        exponential=bool(degenerate or kappa < 1.0),
     )

@@ -216,17 +216,6 @@ class SuitabilityModel:
             return tuple(Symbol("square", k, s) for s in signs)
         return tuple(Symbol("parabolic", k, s, depth=k - self.M - 1) for s in signs)
 
-    def admissible_next(self, prefix: Word, max_order: int) -> list[Symbol]:
-        """Symbols that may extend prefix, up to max_order.
-
-        The full model ignores the prefix; the argument is part of the
-        interface so restricted models can depend on it.
-        """
-        out: list[Symbol] = []
-        for k in range(2, max_order + 1):
-            out.extend(self.symbols_of_order(k))
-        return out
-
 
 def full_model(M: int, multiplicity: int = 2) -> SuitabilityModel:
     return SuitabilityModel(M=M, multiplicity=multiplicity, name="full")

@@ -332,6 +332,29 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert doc2["config"]["margin"] == 0.01
 
 
+@pytest.mark.parametrize("flag", [["--hor", "48"], ["--hor=48"], ["--horizon=48"]])
+def test_config_file_loses_to_abbreviated_flags(tmp_path, capsys, flag):
+    g = _write(tmp_path, "g.json", GOLDEN)
+    cfg = _write(tmp_path, "cfg.json", {"horizon": 32, "margin": 0.01})
+    code, doc = _run_json(capsys, ["shift", "spr", "--graph", g, "--config", cfg, *flag])
+    assert code == 0
+    assert doc["config"]["horizon"] == 48
+    assert doc["config"]["margin"] == 0.01
+
+
+def test_config_file_loses_to_flags_with_other_dests(tmp_path, capsys):
+    # --se abbreviates --seed; --h stores into obs_h
+    cfg = _write(tmp_path, "cfg.json", {"seed": 3, "obs_h": "cheb:2", "n_max": 4})
+    code, doc = _run_json(
+        capsys,
+        ["stats", "mixing", "--config", cfg, "--se", "5", "--h", "cheb:3", "--n", "2000"],
+    )
+    assert code == 0
+    assert doc["config"]["seed"] == 5
+    assert doc["config"]["obs_h"] == "cheb:3"
+    assert doc["config"]["n_max"] == 4
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     g = _write(tmp_path, "g.json", GOLDEN)
     cfg = _write(tmp_path, "cfg.json", {"no_such_flag": 1})

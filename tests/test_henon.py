@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,30 @@ def test_custom_perturbation_applies():
     assert np.allclose(m.jacobian(0.0, 1.0), [[0.0, 1.1], [0.0, 0.0]])
 
 
+def _classical_twin(m):
+    """The classical map m written as a custom perturbation B = (0, b x)."""
+    b = m.b
+    return HenonMap(
+        a=m.a,
+        b=b,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.0, b * x),
+        custom_dB=lambda x, y: np.array([[0.0, 0.0], [b, 0.0]]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["zero", "classical", "custom"])
+def test_step_and_jac_are_the_scalar_map_on_every_row(kind):
+    classical = HenonMap(a=-1.4, b=0.3, perturbation="classical")
+    twin = _classical_twin(classical)
+    m = {"zero": HenonMap(a=-1.4, b=0.3), "classical": classical, "custom": twin}[kind]
+    Z = np.random.default_rng(1).uniform(-2.0, 2.0, (7, 2))
+    assert m.step(Z).shape == (7, 2) and m.jac(Z).shape == (7, 2, 2)
+    assert np.array_equal(m.step(Z), [m.apply(x, y) for x, y in Z])
+    assert np.array_equal(m.jac(Z), [m.jacobian(x, y) for x, y in Z])
+    assert m.step(Z[:0]).shape == (0, 2) and m.jac(Z[:0]).shape == (0, 2, 2)
+
+
 def test_iterate_period_two_orbit():
     # x^2 - 1 swaps 0 and -1
     m = HenonMap(a=-1.0, b=0.0)
@@ -115,6 +140,40 @@ def test_lyapunov_escaping_orbit_raises():
     m = HenonMap(a=3.0, b=0.0)
     with pytest.raises(RuntimeError):
         lyapunov(m, (3.0, 0.0), 1000)
+
+
+def test_lyapunov_memory_is_bounded():
+    m = HenonMap(a=-2.0, b=0.0)
+    # warm up: keeps one-time caches out of the peak, and a cold first call
+    # runs about four times slower under tracemalloc
+    lyapunov(m, (0.13817, 0.0), 2_000)
+    tracemalloc.start()
+    try:
+        lyapunov(m, (0.13817, 0.0), 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # bytes: the ladder would take 32 per step
+
+
+def test_custom_twin_cocycle_and_lyapunov_equal_classical_exactly():
+    m = HenonMap(a=-1.4, b=0.3, perturbation="classical")
+    twin = _classical_twin(m)
+    n = 3000  # several blocks of the recurrence
+    tp = tangent_cocycle(m, (0.1, 0.05), (0.6, 0.8), n)
+    tt = tangent_cocycle(twin, (0.1, 0.05), (0.6, 0.8), n)
+    assert np.array_equal(tt.ell, tp.ell)
+    assert np.array_equal(tt.logdets, tp.logdets)
+    assert np.array_equal(tt.directions, tp.directions)
+    assert lyapunov(twin, (0.0, 0.0), n) == lyapunov(m, (0.0, 0.0), n)
+    # the ladder carries across blocks: a plain loop over the scalar map
+    x, y, u, ell = 0.1, 0.05, np.array([0.6, 0.8]), 0.0
+    for _ in range(n):
+        v = m.jacobian(x, y) @ u
+        ell += math.log(np.linalg.norm(v))
+        u = v / np.linalg.norm(v)
+        x, y = m.apply(x, y)
+    assert tp.ell[n] == pytest.approx(ell, rel=1e-12)
 
 
 def test_tangent_cocycle_logdets_match_jacobians():
