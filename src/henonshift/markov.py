@@ -102,14 +102,15 @@ class MarkovGraph:
 
     def adjacency(self) -> list[list[int]]:
         """0/1 adjacency matrix as exact integers, row = source."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        mat = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.arrows:
-            mat[idx[u]][idx[v]] = 1
-        return mat
+        return self.adjacency_array().astype(int).tolist()
 
     def adjacency_array(self) -> np.ndarray:
-        return np.array(self.adjacency(), dtype=float)
+        """The same matrix as floats, filled from the arrows."""
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        A = np.zeros((self.n, self.n))
+        for u, v in self.arrows:
+            A[idx[u], idx[v]] = 1.0
+        return A
 
 
 def graph_from_dict(data: dict) -> MarkovGraph:
@@ -296,34 +297,26 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     for u, v in graph.arrows:
         out[idx[u]].append(idx[v])
 
-    # Z_n: full path counts.
+    # Z_n from all paths; Z*_n from paths that avoid the base strictly
+    # between the endpoints, advanced over the same successor lists.
     Z: list[int] = []
-    vec = [0] * n
-    vec[b] = 1
-    for _ in range(N):
-        nxt = [0] * n
-        for u in range(n):
-            cu = vec[u]
-            if cu:
-                for v in out[u]:
-                    nxt[v] += cu
-        Z.append(nxt[b])
-        vec = nxt
-
-    # Z*_n: paths that avoid the base strictly between the endpoints.
     Zstar: list[int] = []
     vec = [0] * n
     vec[b] = 1
+    vstar = vec[:]
     for _ in range(N):
         nxt = [0] * n
+        nstar = [0] * n
         for u in range(n):
-            cu = vec[u]
+            cu, su = vec[u], vstar[u]
             if cu:
                 for v in out[u]:
                     nxt[v] += cu
-        Zstar.append(nxt[b])
-        nxt[b] = 0  # loops already closed may not continue
-        vec = nxt
+                    nstar[v] += su
+        Z.append(nxt[b])
+        Zstar.append(nstar[b])
+        nstar[b] = 0  # loops already closed may not continue
+        vec, vstar = nxt, nstar
 
     return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
 
@@ -433,31 +426,34 @@ def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:
 # connectivity / periodicity
 
 
-def _reachable(graph: MarkovGraph, start: str, reverse: bool = False) -> set[str]:
+def _bfs_depths(graph: MarkovGraph, start: str, reverse: bool = False) -> dict[str, int]:
+    """Path length from start to every vertex it reaches (to start, when
+    reverse)."""
     succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for u, v in graph.arrows:
         if reverse:
             succ[v].append(u)
         else:
             succ[u].append(v)
-    seen = {start}
+    depth = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
+            if v not in depth:
+                depth[v] = depth[u] + 1
                 queue.append(v)
-    return seen
+    return depth
+
 
 def strongly_connected_defect(graph: MarkovGraph) -> tuple[str, str] | None:
     """None when strongly connected, else a vertex pair (u, v) with no
     path u -> v."""
-    fwd = _reachable(graph, graph.base)
+    fwd = _bfs_depths(graph, graph.base)
     for v in graph.vertices:
         if v not in fwd:
             return (graph.base, v)
-    bwd = _reachable(graph, graph.base, reverse=True)
+    bwd = _bfs_depths(graph, graph.base, reverse=True)
     for v in graph.vertices:
         if v not in bwd:
             return (v, graph.base)
@@ -473,18 +469,7 @@ def graph_period(graph: MarkovGraph) -> int:
     defect = strongly_connected_defect(graph)
     if defect is not None:
         raise NotStronglyConnectedError(*defect)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    depth = {graph.base: 0}
-    queue = deque([graph.base])
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for u, v in graph.arrows:
-        succ[u].append(v)
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                queue.append(v)
+    depth = _bfs_depths(graph, graph.base)
     g = 0
     for u, v in graph.arrows:
         g = math.gcd(g, depth[u] + 1 - depth[v])
@@ -495,9 +480,10 @@ def graph_period(graph: MarkovGraph) -> int:
 
 def is_mixing(graph: MarkovGraph) -> bool:
     """Topological mixing: strongly connected with coprime loop lengths."""
-    if strongly_connected_defect(graph) is not None:
+    try:
+        return graph_period(graph) == 1
+    except NotStronglyConnectedError:
         return False
-    return graph_period(graph) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +535,8 @@ def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
     iteration runs on M + I, whose Perron vector coincides with M's, and
     delta is subtracted from the eigenvalue and documented in the output.
     """
-    defect = strongly_connected_defect(graph)
-    if defect is not None:
-        raise NotStronglyConnectedError(*defect)
-    A = graph.adjacency_array()
     delta = 0.0 if graph_period(graph) == 1 else 1.0
+    A = graph.adjacency_array()
     shifted = A + delta * np.eye(graph.n)
     lam_r, alpha, res_r = _power_iteration(shifted, tol)
     lam_l, beta, res_l = _power_iteration(shifted.T, tol)

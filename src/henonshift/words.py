@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .markov import LoopCensus
@@ -161,6 +162,19 @@ def s_minus() -> Symbol:
     return Symbol("simple", 2, "-")
 
 
+@dataclass
+class _Counts:
+    """Exact count series of one model, each grown in place only as far as a
+    call asks: per-order multiplicities, words w_n, prime words P_n and
+    first returns Z*_n, all indexed by order.  Growth takes no lock, so two
+    threads must not grow one model's table at the same time."""
+
+    mult: list[int] = field(default_factory=list)
+    w: list[int] = field(default_factory=lambda: [1, 0])
+    P: list[int] = field(default_factory=lambda: [0, 0])
+    Z: list[int] = field(default_factory=lambda: [0, 0])
+
+
 @dataclass(frozen=True)
 class SuitabilityModel:
     """Which symbols may extend a word, and with what multiplicity.
@@ -178,6 +192,9 @@ class SuitabilityModel:
     multiplicity: int = 2
     simple_orders: tuple[int, ...] | None = None
     name: str = "full"
+    _counts: _Counts = field(
+        default_factory=_Counts, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.M < 4:
@@ -532,18 +549,45 @@ def _canonical_word(M: int, d: int) -> Word:
 # counting DPs
 
 
-@lru_cache(maxsize=None)
-def _sharp_table(model: SuitabilityModel, N: int) -> tuple[int, ...]:
-    w = [0] * (N + 1)
-    w[0] = 1
-    for n in range(2, N + 1):
-        acc = 0
-        for k in range(2, n + 1):
-            mult = model.multiplicity_of_order(k)
-            if mult:
-                acc += mult * w[n - k]
-        w[n] = acc
-    return tuple(w)
+# Each series below is grown in place to order N (at least) and returned.
+
+
+def _mult(model: SuitabilityModel, N: int) -> list[int]:
+    mult = model._counts.mult
+    mult.extend(model.multiplicity_of_order(k) for k in range(len(mult), N + 1))
+    return mult
+
+
+def _sharp(model: SuitabilityModel, N: int) -> list[int]:
+    w = model._counts.w
+    mult = _mult(model, N)
+    for n in range(len(w), N + 1):
+        w.append(sum(map(mul, mult[2 : n + 1], w[n - 2 :: -1])))
+    return w
+
+
+def _primes(model: SuitabilityModel, N: int) -> list[int]:
+    P = model._counts.P
+    mult = _mult(model, N)
+    M = model.M
+    for m in range(len(P), N + 1):
+        acc = mult[m] if m <= M else 0
+        if m > M + 2:  # last non-simple symbol of order M+1..m-2
+            acc += sum(map(mul, mult[M + 1 : m - 1], P[m - M - 1 : 1 : -1]))
+        P.append(acc)
+    return P
+
+
+def _zstar(model: SuitabilityModel, N: int) -> list[int]:
+    Z = model._counts.Z
+    P = _primes(model, N)
+    M = model.M
+    for n in range(len(Z), N + 1):
+        acc = P[n]
+        if n > M + 2:  # earlier first-return block, then a prime block of order > M
+            acc += sum(map(mul, Z[2 : n - M], P[n - 2 : M : -1]))
+        Z.append(acc)
+    return Z
 
 
 def count_sharp(N: int, model: SuitabilityModel) -> int:
@@ -551,21 +595,7 @@ def count_sharp(N: int, model: SuitabilityModel) -> int:
     N = 0).  Dynamic programming over the last symbol's order."""
     if N < 0:
         raise ValueError("order must be >= 0")
-    return _sharp_table(model, N)[N]
-
-
-@lru_cache(maxsize=None)
-def _prime_table(model: SuitabilityModel, N: int) -> tuple[int, ...]:
-    M = model.M
-    P = [0] * (N + 1)
-    for m in range(2, N + 1):
-        acc = model.multiplicity_of_order(m) if m <= M else 0
-        for k in range(M + 1, m - 1):  # last non-simple symbol; remainder >= 2
-            mult = model.multiplicity_of_order(k) if k > M else 0
-            if mult:
-                acc += mult * P[m - k]
-        P[m] = acc
-    return tuple(P)
+    return _sharp(model, N)[N]
 
 
 def count_prime_words(m: int, model: SuitabilityModel) -> int:
@@ -574,21 +604,7 @@ def count_prime_words(m: int, model: SuitabilityModel) -> int:
     model; 0 below order 2."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    return _prime_table(model, m)[m]
-
-
-@lru_cache(maxsize=None)
-def _zstar_table(model: SuitabilityModel, N: int) -> tuple[int, ...]:
-    M = model.M
-    P = _prime_table(model, N)
-    Z = [0] * (N + 1)
-    for n in range(2, N + 1):
-        acc = P[n]
-        # earlier first-return block, then a prime block of order > M
-        for k in range(2, n - M):
-            acc += Z[k] * P[n - k]
-        Z[n] = acc
-    return tuple(Z)
+    return _primes(model, m)[m]
 
 
 def zstar_from_model(n: int, model: SuitabilityModel) -> int:
@@ -600,7 +616,7 @@ def zstar_from_model(n: int, model: SuitabilityModel) -> int:
     """
     if n < 2:
         raise ValueError("first-return orders start at 2")
-    return _zstar_table(model, n)[n]
+    return _zstar(model, n)[n]
 
 
 def synthetic_census(model: SuitabilityModel, N: int, base: str = "e") -> LoopCensus:
@@ -608,14 +624,10 @@ def synthetic_census(model: SuitabilityModel, N: int, base: str = "e") -> LoopCe
     the renewal identity Z_n = sum_k Z*_k Z_{n-k}."""
     if N < 2:
         raise ValueError("horizon must be >= 2")
-    Zstar = [0] * (N + 1)
-    table = _zstar_table(model, N)
-    for n in range(2, N + 1):
-        Zstar[n] = table[n]
-    Z = [0] * (N + 1)
-    Z[0] = 1
+    Zstar = _zstar(model, N)[: N + 1]
+    Z = [1]
     for n in range(1, N + 1):
-        Z[n] = sum(Zstar[k] * Z[n - k] for k in range(1, n + 1))
+        Z.append(sum(map(mul, Zstar[1 : n + 1], Z[::-1])))
     return LoopCensus(
         base=base, horizon=N, Z=tuple(Z[1:]), Zstar=tuple(Zstar[1:])
     )
@@ -695,7 +707,7 @@ def block_sum(
             diverged = True
         n = 2
         while True:
-            sharp = count_sharp(n, model)
+            sharp = _sharp(model, n)[n]
             if sharp:
                 m0 = M + params.Xi * n
                 if not math.isfinite(m0) or m0 > 1e306:
@@ -711,6 +723,17 @@ def block_sum(
             if n > 4000 or (diverged and n > 64):
                 break
     return total, diverged
+
+
+def _prefix_sums(model: SuitabilityModel, rate: float, N: int) -> list[float]:
+    """Running sums of w_n e^{-rate n} over the prefix orders n = 0..N."""
+    w = _sharp(model, N)
+    return list(accumulate(w[n] * math.exp(-rate * n) for n in range(N + 1)))
+
+
+def _psi(prefix: float, blocks: float, N: int) -> float:
+    """Psi_N = prefix_N * blocks^N (the prefix alone at N = 0)."""
+    return prefix * blocks**N if N else prefix
 
 
 @dataclass(frozen=True)
@@ -753,11 +776,8 @@ def covering_sum(
     if N < 0:
         raise ValueError("N must be >= 0")
     rate = _weight_rate(s, weight, params)
-    prefix = sum(
-        count_sharp(n, model) * math.exp(-rate * n) for n in range(0, N + 1)
-    )
     blocks, diverged = block_sum(model, params, s, weight)
-    value = prefix * blocks**N if N else prefix
+    value = _psi(_prefix_sums(model, rate, N)[N], blocks, N)
     lam_bound = params.lam**N
     return CoveringSum(
         N=N,
@@ -815,8 +835,8 @@ def dimension_upper_bound(
     if any(not 0.0 < s <= 1.0 for s in s_grid):
         raise ValueError("grid exponents must lie in (0, 1]")
 
-    blocks0, _ = block_sum(model, params, s_grid[-1], weight)
-    if blocks0 == 0.0:
+    last = block_sum(model, params, s_grid[-1], weight)
+    if last[0] == 0.0:
         return DimensionBound(
             bound=0.0,
             s_star=None,
@@ -828,16 +848,11 @@ def dimension_upper_bound(
         )
 
     for s in s_grid:
-        values = []
-        ok = True
-        for N in range(0, N_max + 1):
-            cs = covering_sum(N, s, model, params, weight=weight)
-            if cs.diverged:
-                ok = False
-                break
-            values.append(cs.value)
-        if not ok:
+        blocks, diverged = last if s == s_grid[-1] else block_sum(model, params, s, weight)
+        if diverged:
             continue
+        prefixes = _prefix_sums(model, _weight_rate(s, weight, params), N_max)
+        values = [_psi(p, blocks, N) for N, p in enumerate(prefixes)]
         if all(b < a for a, b in zip(values, values[1:])):
             return DimensionBound(
                 bound=min(1.0, factor * s),

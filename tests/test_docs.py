@@ -1,5 +1,6 @@
 """The documented entry points run: the README quick start and the demos
-that exercise the census and the tangent cocycle."""
+that exercise the Markov shift, the census, the tangent cocycle and the
+word-count bounds."""
 
 from __future__ import annotations
 
@@ -24,7 +25,13 @@ def test_readme_quick_start_runs():
 
 
 @pytest.mark.parametrize(
-    "demo", ["02_periodic_orbit_census.py", "03_henon_conditions.py"]
+    "demo",
+    [
+        "01_markov_shift_mme.py",
+        "02_periodic_orbit_census.py",
+        "03_henon_conditions.py",
+        "04_word_dimension_bounds.py",
+    ],
 )
 def test_demo_runs(demo):
     # the demo runs against the same source tree this test imported

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonshift import markov
 from henonshift.markov import (
     ConvergenceError,
     CylinderWord,
@@ -142,6 +143,31 @@ def test_strong_connectivity_defect_names_pair():
     assert defect is not None
     with pytest.raises(NotStronglyConnectedError):
         perron(g)
+
+
+def test_perron_searches_connectivity_once(monkeypatch):
+    calls = []
+    real = markov.strongly_connected_defect
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(markov, "strongly_connected_defect", counting)
+    perron(golden_mean_graph())
+    assert len(calls) == 1
+    g = MarkovGraph(vertices=("a", "b"), arrows=frozenset({("a", "b")}), base="a")
+    with pytest.raises(NotStronglyConnectedError) as err:
+        perron(g)
+    assert err.value.pair == ("b", "a")
+    assert not is_mixing(g)
+
+
+def test_adjacency_array_matches_exact_adjacency():
+    for g in (golden_mean_graph(), cycle_graph(5), full_shift_graph(3), self_loop_graph()):
+        assert np.array_equal(g.adjacency_array(), np.array(g.adjacency(), dtype=float))
+    empty = MarkovGraph(vertices=("a", "b"), arrows=frozenset(), base="a")
+    assert np.array_equal(empty.adjacency_array(), np.zeros((2, 2)))
 
 
 def test_period_and_mixing():

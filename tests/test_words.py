@@ -4,14 +4,17 @@ the divisibility order, regularity checks, and covering-sum bounds."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonshift import words
 from henonshift.params import Params
 from henonshift.words import (
     Symbol,
+    SuitabilityModel,
     Word,
     UNIT_WORD,
     aleph,
@@ -65,6 +68,50 @@ def test_sharp_matches_enumeration():
     m = full_model(4)
     for n in range(0, 14):
         assert count_sharp(n, m) == sum(1 for _ in enumerate_words(m, n))
+
+
+def test_full_model_sharp_recurrence_and_closed_form():
+    # two symbols at every order >= 2 give w_n = w_{n-1} + 2 w_{n-2}
+    for M in (4, 10, 100):
+        m = full_model(M)
+        w = [count_sharp(n, m) for n in range(301)]
+        assert all(w[n] == w[n - 1] + 2 * w[n - 2] for n in range(2, 301))
+        assert all(3 * w[n] == 2**n + 2 * (-1) ** n for n in range(301))
+
+
+RESTRICTED_MODELS = [
+    simple_only_model(5),
+    full_model(5, multiplicity=1),
+    SuitabilityModel(M=6, simple_orders=(2, 3, 5)),
+    SuitabilityModel(M=4, include_square=False),
+    SuitabilityModel(M=4, include_parabolic=False),
+]
+
+
+@pytest.mark.parametrize("model", RESTRICTED_MODELS, ids=repr)
+def test_counts_match_enumeration_on_restricted_models(model):
+    for n in range(0, 13):
+        assert count_sharp(n, model) == sum(1 for _ in enumerate_words(model, n))
+    for n in range(2, 15):
+        assert count_prime_words(n, model) == sum(
+            1 for _ in enumerate_words(model, n, prime=True)
+        )
+
+
+def test_one_count_table_per_model():
+    m = full_model(10)
+    for n in range(0, 301):
+        count_sharp(n, m)
+        count_prime_words(n, m)
+    for n in range(2, 301):
+        zstar_from_model(n, m)
+    counts = m._counts
+    assert (len(counts.w), len(counts.P), len(counts.Z)) == (301, 301, 301)
+    fresh = full_model(10)
+    assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+    assert len(fresh._counts.w) == 2  # a new model starts its own table
+    assert zstar_from_model(300, fresh) == counts.Z[300]
+    assert count_sharp(300, fresh) == counts.w[300]
 
 
 def test_sharp_bounded_by_2_pow_n():
@@ -322,6 +369,22 @@ def test_dimension_bound_desk_values():
     assert b100.bound == pytest.approx(0.15, abs=1e-12)
     b25 = dimension_upper_bound(full_model(25), Params(M=25), grid)
     assert b25.certified and b25.bound == pytest.approx(0.45, abs=1e-12)
+
+
+def test_dimension_bound_sums_blocks_once_per_exponent(monkeypatch):
+    calls = []
+    real = words.block_sum
+
+    def counting(model, params, s, weight="hausdorff"):
+        calls.append(s)
+        return real(model, params, s, weight)
+
+    monkeypatch.setattr(words, "block_sum", counting)
+    grid = [k / 100.0 for k in range(1, 101)]
+    b = dimension_upper_bound(full_model(100), Params(M=100), grid)
+    tried = grid[: grid.index(b.s_star) + 1]
+    # the largest exponent is probed first for an empty covering family
+    assert Counter(calls) == Counter(tried + [grid[-1]])
 
 
 def test_dimension_bound_degenerate_model():
