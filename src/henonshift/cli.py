@@ -47,8 +47,8 @@ from .orbits import (
     periodic_orbits_2d,
 )
 from .stats import (
+    _box_slope,
     box_count_table,
-    box_dimension,
     cantor_sample,
     chebyshev_polynomial,
     clt_test,
@@ -407,6 +407,9 @@ def _cmd_stats_boxdim(args) -> int:
             pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         except (OSError, ValueError) as e:
             raise UsageError(f"cannot read points from {args.points}: {e}") from e
+        if not np.isfinite(pts).all():
+            raise UsageError(
+                f"cannot read points from {args.points}: non-finite coordinate")
     else:
         if args.seed is None:
             raise UsageError("--seed is required with --set")
@@ -421,8 +424,8 @@ def _cmd_stats_boxdim(args) -> int:
         scales = [3.0**-k for k in range(1, 11)]
     else:
         scales = [2.0**-k for k in range(2, 10)]
-    dim = box_dimension(pts, scales)
     table = box_count_table(pts, scales)
+    dim = _box_slope(table, len(pts))
     _emit(
         args,
         {"dimension": dim, "counts": [{"eps": e, "boxes": c} for e, c in table],

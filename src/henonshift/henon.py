@@ -313,7 +313,8 @@ def _tangent_blocks(
     one jac call and yields, per block, the ladder values ell, the unit
     image directions, the log |det Tf| of its steps and whether the orbit
     escaped at its last step.  A vector that falls into an exact kernel
-    ends the walk: its block ends with ell = -inf, one direction short.
+    stays the zero vector while the orbit walk goes on: from that step on
+    ell is -inf and no direction is yielded.
     """
     x, y = float(point[0]), float(point[1])
     ux, uy = u
@@ -341,14 +342,14 @@ def _tangent_blocks(
             vy = j10 * ux + j11 * uy
             vnorm = math.hypot(vx, vy)
             if vnorm == 0.0:
-                ell.append(-math.inf)
-                yield ell, np.array([dx, dy]).T, logdets[: len(ell)], False
-                return
+                ux = uy = 0.0
+                break
             s += math.log(vnorm)
             ux, uy = vx / vnorm, vy / vnorm
             ell.append(s)
             dx.append(ux)
             dy.append(uy)
+        ell.extend([-math.inf] * (len(xs) - len(ell)))
         k += len(xs)
         yield ell, np.array([dx, dy]).T, logdets, escaped
         if escaped:
@@ -383,9 +384,7 @@ def tangent_cocycle(
         dirs[k + 1 : k + 1 + len(d)] = d
         logdets[k : k + len(ld)] = ld
         k += len(e)
-    if ell[k] == -math.inf:
-        logdets[k:] = logdets[k - 1]
-    elif escaped:
+    if escaped:
         ell, dirs, logdets = ell[: k + 1], dirs[: k + 1], logdets[:k]
     return TangentProduct(
         base=(float(point[0]), float(point[1])),

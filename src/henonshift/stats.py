@@ -426,29 +426,38 @@ def young_dimension(h: float, lambda1: float, lambda2: float) -> float:
 def box_count_table(
     points: np.ndarray, scales: Sequence[float]
 ) -> list[tuple[float, int]]:
-    """Occupied-box counts N(eps) per scale."""
+    """Occupied-box counts N(eps) per scale.
+
+    A point p lies in the box floor(p / eps).  Each scale sorts the box
+    indices of all points with one lexicographic sort; the count is 1 plus
+    the number of adjacent sorted rows that differ.  Points must be an
+    (n,) or (n, d) array of finite values, scales finite and positive, and
+    every p / eps finite: a value box counting cannot place is an error.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be an (n,) or (n, d) array with d >= 1")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    scales = [float(eps) for eps in scales]
+    if not all(math.isfinite(eps) and eps > 0 for eps in scales):
+        raise ValueError("scales must be finite and positive")
     out = []
     for eps in scales:
-        if eps <= 0:
-            raise ValueError("scales must be positive")
-        boxes = np.unique(np.floor(pts / eps), axis=0)
-        out.append((float(eps), int(len(boxes))))
+        with np.errstate(over="ignore"):
+            boxes = np.floor(pts / eps)
+        if not np.isfinite(boxes).all():
+            raise ValueError(f"points / eps overflows at eps = {eps!r}")
+        boxes = boxes[np.lexsort(boxes.T)]
+        changes = np.count_nonzero((boxes[1:] != boxes[:-1]).any(axis=1))
+        out.append((eps, min(len(boxes), 1) + int(changes)))
     return out
 
 
-def box_dimension(points: np.ndarray, scales: Sequence[float]) -> float:
-    """Least-squares slope of log N(eps) against log 1/eps.
-
-    Scales outside the scaling window (N(eps) <= 2, or saturated at more
-    than half the sample) are dropped; fewer than 3 usable scales is an
-    error.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    table = box_count_table(pts, scales)
+def _box_slope(table: list[tuple[float, int]], n: int) -> float:
+    """box_dimension's slope fit on a box_count_table of n points."""
     usable = [(e, c) for e, c in table if 2 <= c <= max(4, n // 2)]
     if len(usable) < 3:
         raise ValueError(
@@ -459,6 +468,17 @@ def box_dimension(points: np.ndarray, scales: Sequence[float]) -> float:
     ys = np.log(np.array([c for _, c in usable], dtype=float))
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
+
+
+def box_dimension(points: np.ndarray, scales: Sequence[float]) -> float:
+    """Least-squares slope of log N(eps) against log 1/eps.
+
+    Scales outside the scaling window (N(eps) < 2, or saturated at more
+    than half the sample) are dropped; fewer than 3 usable scales is an
+    error.
+    """
+    pts = np.asarray(points, dtype=float)
+    return _box_slope(box_count_table(pts, scales), len(pts))
 
 
 def segment_sample(n: int, seed: int) -> np.ndarray:

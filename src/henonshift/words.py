@@ -834,6 +834,8 @@ def dimension_upper_bound(
         raise ValueError("s_grid must be nonempty and strictly increasing")
     if any(not 0.0 < s <= 1.0 for s in s_grid):
         raise ValueError("grid exponents must lie in (0, 1]")
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1: certifying needs a decay check")
 
     last = block_sum(model, params, s_grid[-1], weight)
     if last[0] == 0.0:

@@ -1,11 +1,12 @@
-"""The documented entry points run: the README quick start and the demos
-that exercise the Markov shift, the census, the tangent cocycle and the
-word-count bounds."""
+"""The documented entry points run: the README quick start, the README
+command-line examples and every demo."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import henonshift
+from henonshift.cli import main
+from henonshift.markov import golden_mean_graph, graph_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +27,28 @@ def test_readme_quick_start_runs():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
+def _readme_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("henonshift ")
+    ]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 6
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    (tmp_path / "golden.json").write_text(json.dumps(graph_to_dict(golden_mean_graph())))
+    monkeypatch.chdir(tmp_path)
+    code = main(shlex.split(line)[1:])
+    assert code == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "demo",
     [
@@ -31,6 +56,8 @@ def test_readme_quick_start_runs():
         "02_periodic_orbit_census.py",
         "03_henon_conditions.py",
         "04_word_dimension_bounds.py",
+        "05_mixing_clt_dimensions.py",
+        "06_cli_pipeline.py",
     ],
 )
 def test_demo_runs(demo):

@@ -280,6 +280,39 @@ def test_pce_fails_only_on_exact_collapse():
     assert not pce_check(tp, 1, params)
 
 
+def _square_kernel_map(a):
+    """B = (0, 0.05 x^2): Tf is singular on the line x = 0."""
+    return HenonMap(
+        a=a,
+        b=0.05,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.0, 0.05 * x * x),
+        custom_dB=lambda x, y: np.array([[0.0, 0.0], [0.1 * x, 0.0]]),
+    )
+
+
+def test_tangent_cocycle_follows_the_orbit_past_a_kernel():
+    # u = (1, 0) lies in the kernel of Tf(0, 0); the orbit goes on
+    m = _square_kernel_map(-1.4)
+    tp = tangent_cocycle(m, (0.0, 0.0), (1.0, 0.0), 6)
+    assert tp.ell[0] == 0.0 and np.all(tp.ell[1:] == -math.inf)
+    assert np.isnan(tp.directions[1:]).all()
+    seg = iterate(m, (0.0, 0.0), 6)
+    expected = [math.log(abs(np.linalg.det(m.jacobian(x, y)))) for x, y in seg.points[1:-1]]
+    assert tp.logdets[0] == -math.inf
+    assert tp.logdets[1] == pytest.approx(-1.97, abs=0.005)
+    assert tp.logdets[1:] == pytest.approx(expected, rel=1e-12)
+    assert not tp.escaped and tp.escape_time is None and tp.n == 6
+
+
+def test_tangent_cocycle_reports_escape_after_a_kernel():
+    # at a = 3 the orbit of (0, 0) leaves radius 10 at step 2
+    tp = tangent_cocycle(_square_kernel_map(3.0), (0.0, 0.0), (1.0, 0.0), 6)
+    assert tp.escaped and tp.escape_time == 2 and tp.n == 2
+    assert len(tp.ell) == 3 and len(tp.logdets) == 2
+    assert tp.logdets[1] == pytest.approx(math.log(0.3))
+
+
 def test_most_contracted_direction_is_kernel_at_b_zero():
     m = HenonMap(a=-2.0, b=0.0)
     x0 = 0.4

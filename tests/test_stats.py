@@ -3,6 +3,7 @@ central-limit check, dimension formulas, and box-counting."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -285,6 +286,87 @@ def test_box_dimension_needs_three_usable_scales():
     # scales so coarse everything lands in one box are unusable too
     with pytest.raises(ValueError):
         box_dimension(np.zeros((100, 2)), [0.5, 0.1, 0.01, 0.001])
+
+
+def _reference_box_count(pts, eps):
+    """Occupied boxes as distinct rows of the floored coordinates."""
+    return len(np.unique(np.floor(np.asarray(pts, dtype=float) / eps), axis=0))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.random.default_rng(31).normal(size=500),  # 1-D
+        np.random.default_rng(32).normal(size=(500, 1)),
+        np.random.default_rng(33).normal(scale=3.0, size=(2000, 2)),
+        np.random.default_rng(34).normal(size=(2000, 3)),
+        np.repeat(np.random.default_rng(35).random((50, 2)) - 0.5, 7, axis=0),
+        cantor_sample(3000, seed=36),
+        np.empty((0, 2)),
+        np.array([[-0.25, 0.75]]),
+    ],
+    ids=["1d", "n_by_1", "2d_negative", "3d", "repeated", "cantor", "empty", "single"],
+)
+def test_box_count_table_matches_unique_rows(pts):
+    # non-nested scales, finest first, including ones past the finest spacing
+    scales = [1e-4, 0.3, 0.05, 1.0, 0.07, 2.5, 1.0 / 3.0, 0.011]
+    table = box_count_table(pts, scales)
+    assert [e for e, _ in table] == scales
+    assert [c for _, c in table] == [_reference_box_count(pts, e) for e in scales]
+
+
+def test_box_count_table_signed_zero_is_one_box():
+    assert box_count_table(np.array([[0.0, 0.1], [-0.0, 0.1]]), [0.5]) == [(0.5, 1)]
+
+
+@pytest.mark.parametrize(
+    "pts, scales",
+    [
+        ([[0.1, 0.2], [math.nan, 0.3], [math.nan, 0.3], [math.inf, 0.0]], [0.1]),
+        ([[0.1, 0.2], [0.3, -math.inf]], [0.1]),
+        ([[1e300, 0.0], [0.0, 0.0]], [1e-10]),  # points / eps overflows
+        ([[0.1, 0.2]], [math.nan]),
+        ([[0.1, 0.2]], [math.inf]),
+        ([[0.1, 0.2]], [0.1, 0.0]),
+        ([[0.1, 0.2]], [-0.1]),
+        (np.zeros((3, 0)), [0.1]),
+        (np.zeros((3, 2, 2)), [0.1]),
+    ],
+)
+def test_box_count_table_rejects_what_it_cannot_count(pts, scales):
+    with pytest.raises(ValueError):
+        box_count_table(np.asarray(pts, dtype=float), scales)
+
+
+def test_cli_boxdim_counts_boxes_once(monkeypatch, capsys):
+    from henonshift import cli
+
+    calls = []
+    real = cli.box_count_table
+
+    def counting(points, scales):
+        calls.append(len(points))
+        return real(points, scales)
+
+    monkeypatch.setattr(cli, "box_count_table", counting)
+    args = ["stats", "boxdim", "--set", "cantor", "--n", "20000", "--seed", "5"]
+    assert cli.main(args) == 0
+    assert calls == [20000]
+    out = json.loads(capsys.readouterr().out)["result"]
+    pts = cantor_sample(20000, 5)
+    scales = [3.0**-k for k in range(1, 11)]
+    assert out["dimension"] == box_dimension(pts, scales)
+    assert [(c["eps"], c["boxes"]) for c in out["counts"]] == box_count_table(pts, scales)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_boxdim_rejects_non_finite_points(tmp_path, capsys, bad):
+    from henonshift import cli
+
+    path = tmp_path / "pts.csv"
+    path.write_text(f"0.1,0.2\n{bad},0.3\n0.5,0.5\n")
+    assert cli.main(["stats", "boxdim", "--points", str(path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cantor_sample_in_middle_thirds_set():

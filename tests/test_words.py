@@ -387,6 +387,14 @@ def test_dimension_bound_sums_blocks_once_per_exponent(monkeypatch):
     assert Counter(calls) == Counter(tried + [grid[-1]])
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_dimension_bound_needs_a_decay_check(n_max):
+    # with no Psi_1 there is nothing to decay, so nothing is certified
+    grid = [0.01, 0.5]
+    with pytest.raises(ValueError, match="N_max"):
+        dimension_upper_bound(full_model(25), Params(M=25), grid, N_max=n_max)
+
+
 def test_dimension_bound_degenerate_model():
     grid = [k / 100.0 for k in range(1, 101)]
     b = dimension_upper_bound(simple_only_model(12), Params(M=12), grid)
