@@ -32,15 +32,15 @@ from .markov import (
     chain_entropy,
     count_loops,
     equidistribution_cylinder,
-    gurevich_entropy,
+    graph_from_dict,
     is_spr,
-    load_graph,
     perron,
     radii,
     shift_periodic_census,
 )
 from .orbits import (
-    census_to_csv,
+    _CENSUS_CSV_HEADER,
+    _census_csv_rows,
     entropy_from_census,
     equidistribution_test,
     fixed_points_1d,
@@ -153,7 +153,7 @@ def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as e:
+    except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise UsageError(
@@ -161,15 +161,18 @@ def _load_json_file(path: str) -> dict:
         ) from e
 
 
-def _graph(args):
+def _load_document(path: str, build: Callable[[dict], object]):
+    """A JSON file turned into a library object by `build`; a document the
+    builder rejects is a usage error."""
+    data = _load_json_file(path)
     try:
-        return load_graph(args.graph)
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read {args.graph}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise UsageError(
-            f"malformed JSON in {args.graph}: line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
+        return build(data)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"invalid document {path}: {e}") from e
+
+
+def _graph(args):
+    return _load_document(args.graph, graph_from_dict)
 
 
 def _map_from_args(args) -> HenonMap:
@@ -188,16 +191,19 @@ _OBSERVABLES = "x | cheb:k | bump:center,width | ind:lo,hi,ramp"
 
 
 def _observable(spec: str) -> Callable[[np.ndarray], np.ndarray]:
-    if spec == "x":
-        return coordinate()
-    if spec.startswith("cheb:"):
-        return chebyshev_polynomial(int(spec.split(":", 1)[1]))
-    if spec.startswith("bump:"):
-        c, w = (float(t) for t in spec.split(":", 1)[1].split(","))
-        return lipschitz_bump(c, w)
-    if spec.startswith("ind:"):
-        lo, hi, ramp = (float(t) for t in spec.split(":", 1)[1].split(","))
-        return smoothed_indicator(lo, hi, ramp)
+    try:
+        if spec == "x":
+            return coordinate()
+        if spec.startswith("cheb:"):
+            return chebyshev_polynomial(int(spec.split(":", 1)[1]))
+        if spec.startswith("bump:"):
+            c, w = (float(t) for t in spec.split(":", 1)[1].split(","))
+            return lipschitz_bump(c, w)
+        if spec.startswith("ind:"):
+            lo, hi, ramp = (float(t) for t in spec.split(":", 1)[1].split(","))
+            return smoothed_indicator(lo, hi, ramp)
+    except ValueError as e:
+        raise UsageError(f"bad observable {spec!r} ({e}); use {_OBSERVABLES}") from e
     raise UsageError(f"unknown observable {spec!r}; use {_OBSERVABLES}")
 
 
@@ -207,10 +213,9 @@ def _observable(spec: str) -> Callable[[np.ndarray], np.ndarray]:
 
 def _cmd_shift_entropy(args) -> int:
     g = _graph(args)
-    h = gurevich_entropy(g)
     spec = perron(g, tol=args.tol)
-    _emit(args, {"entropy": h, "lambda": spec.lam, "residual": spec.residual,
-                 "tol": args.tol})
+    _emit(args, {"entropy": math.log(spec.lam), "lambda": spec.lam,
+                 "residual": spec.residual, "tol": args.tol})
     return 0
 
 
@@ -219,10 +224,9 @@ def _cmd_shift_mme(args) -> int:
     spec = perron(g, tol=args.tol)
     chain = build_mme(spec, g)
     idx = {v: i for i, v in enumerate(chain.vertices)}
-    p = {
-        u: {v: chain.p[idx[u]][idx[v]] for v in chain.vertices if chain.p[idx[u]][idx[v]] > 0}
-        for u in chain.vertices
-    }
+    p: dict[str, dict[str, float]] = {u: {} for u in chain.vertices}
+    for u, v in g.arrows:
+        p[u][v] = chain.p[idx[u], idx[v]]
     _emit(
         args,
         {
@@ -258,6 +262,8 @@ def _cmd_shift_spr(args) -> int:
 
 def _cmd_shift_fix_count(args) -> int:
     g = _graph(args)
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     count = shift_periodic_census(g, args.p)
     _emit(args, {"p": args.p, "count": count})
     return 0
@@ -266,6 +272,11 @@ def _cmd_shift_fix_count(args) -> int:
 def _cmd_shift_equidist(args) -> int:
     g = _graph(args)
     cyl = CylinderWord(tuple(args.cylinder.split(",")))
+    for v in cyl.word:
+        if v not in g.vertices:
+            raise UsageError(f"--cylinder vertex {v!r} is not a vertex of {args.graph}")
+    if args.p < len(cyl):
+        raise UsageError(f"--p {args.p} is shorter than the --cylinder word")
     chain = build_mme(perron(g), g)
     comp = equidistribution_cylinder(g, args.p, cyl, chain)
     diff = abs(comp.empirical - comp.mme)
@@ -295,23 +306,6 @@ def _cmd_orbits_census(args) -> int:
         m, args.p, grid=_parse_grid(args.grid), tol=args.tol,
         refine_check=args.refine_check,
     )
-    def cfmt(z: complex) -> str:
-        if z.imag == 0.0:
-            return f"{z.real:.17g}"
-        return f"{z.real:.17g}{z.imag:+.17g}j"
-
-    rows = [
-        (
-            c.p,
-            o.least_period,
-            f"{o.representative[0]:.17g}",
-            f"{o.representative[1]:.17g}",
-            cfmt(o.multipliers[0]),
-            cfmt(o.multipliers[1]),
-            f"{o.residual:.3e}",
-        )
-        for o in c.orbits
-    ]
     result = {
         "p": c.p,
         "count_fix": c.count_fix,
@@ -331,8 +325,7 @@ def _cmd_orbits_census(args) -> int:
             for o in c.orbits
         ],
     }
-    _emit(args, result, csv_rows=rows,
-          csv_header=["p", "least_period", "x", "y", "mult1", "mult2", "residual"])
+    _emit(args, result, csv_rows=_census_csv_rows(c), csv_header=_CENSUS_CSV_HEADER)
     return 0
 
 
@@ -419,7 +412,12 @@ def _cmd_stats_boxdim(args) -> int:
             raise UsageError(f"unknown --set {args.set!r}")
         pts = maker(args.n, args.seed)
     if args.scales:
-        scales = [float(t) for t in args.scales.split(",")]
+        try:
+            scales = [float(t) for t in args.scales.split(",")]
+        except ValueError as e:
+            raise UsageError(f"--scales expects comma-separated numbers: {e}") from e
+        if not all(math.isfinite(s) and s > 0 for s in scales):
+            raise UsageError(f"--scales must be finite and positive, got {args.scales!r}")
     elif args.set == "cantor":
         scales = [3.0**-k for k in range(1, 11)]
     else:
@@ -442,10 +440,11 @@ def _cmd_stats_return_decay(args) -> int:
     if args.graph:
         g = _graph(args)
         census = count_loops(g, args.horizon)
-        chain = build_mme(perron(g), g)
-        h_top = args.h_top if args.h_top is not None else gurevich_entropy(g)
+        spec = perron(g, tol=1e-13)
+        chain = build_mme(spec, g)
+        h_top = args.h_top if args.h_top is not None else math.log(spec.lam)
     else:
-        model, _params = model_from_dict(_load_json_file(args.model))
+        model, _params = _load_document(args.model, model_from_dict)
         census = synthetic_census(model, args.horizon)
         chain = None
         if args.h_top is not None:

@@ -283,9 +283,6 @@ class TangentProduct:
         """log-norm gain between steps j <= k."""
         return float(self.ell[k] - self.ell[j])
 
-    def logdet_total(self, k: int) -> float:
-        return float(self.logdets[:k].sum())
-
 
 def _unit(u: Sequence[float]) -> tuple[float, float]:
     ux, uy = float(u[0]), float(u[1])

@@ -12,7 +12,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,41 +75,48 @@ class MarkovGraph:
     vertices : tuple of unique vertex ids (strings)
     arrows   : frozenset of (source, target) pairs over declared vertices
     base     : the loop-census base vertex, must be in vertices
+
+    The module reads the arrows as private index arrays sorted by (source,
+    target), so float sums over them do not depend on string hashing.
     """
 
     vertices: tuple[str, ...]
     arrows: frozenset[tuple[str, str]]
     base: str
+    _idx: dict[str, int] = field(init=False, repr=False, compare=False)
+    _src: np.ndarray = field(init=False, repr=False, compare=False)
+    _dst: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex ids must be unique")
         if not self.vertices:
             raise ValueError("graph needs at least one vertex")
-        vs = set(self.vertices)
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        keys = []
         for u, v in self.arrows:
-            if u not in vs or v not in vs:
+            if u not in idx or v not in idx:
                 raise ValueError(f"arrow ({u!r}, {v!r}) uses an undeclared vertex")
-        if self.base not in vs:
+            keys.append(idx[u] * len(idx) + idx[v])
+        if self.base not in idx:
             raise ValueError(f"base {self.base!r} is not a declared vertex")
+        keys.sort()
+        src, dst = np.divmod(np.array(keys, dtype=np.intp), len(idx))
+        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_src", src)
+        object.__setattr__(self, "_dst", dst)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def index(self, v: str) -> int:
-        return self.vertices.index(v)
-
-    def adjacency(self) -> list[list[int]]:
-        """0/1 adjacency matrix as exact integers, row = source."""
-        return self.adjacency_array().astype(int).tolist()
+        return self._idx[v]
 
     def adjacency_array(self) -> np.ndarray:
-        """The same matrix as floats, filled from the arrows."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
+        """Dense 0/1 adjacency matrix as floats, row = source."""
         A = np.zeros((self.n, self.n))
-        for u, v in self.arrows:
-            A[idx[u], idx[v]] = 1.0
+        A[self._src, self._dst] = 1.0
         return A
 
 
@@ -282,6 +289,15 @@ class CylinderWord:
 # loop censuses
 
 
+def _successors(graph: MarkovGraph, reverse: bool = False) -> list[list[int]]:
+    """Successor index lists of every vertex (predecessors when reverse)."""
+    src, dst = (graph._dst, graph._src) if reverse else (graph._src, graph._dst)
+    out: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        out[u].append(v)
+    return out
+
+
 def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     """Count loops and first-return loops at the base, exactly.
 
@@ -290,12 +306,9 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    idx = {v: i for i, v in enumerate(graph.vertices)}
     n = graph.n
-    b = idx[graph.base]
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.arrows:
-        out[idx[u]].append(idx[v])
+    b = graph._idx[graph.base]
+    out = _successors(graph)
 
     # Z_n from all paths; Z*_n from paths that avoid the base strictly
     # between the endpoints, advanced over the same successor lists.
@@ -426,21 +439,18 @@ def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:
 # connectivity / periodicity
 
 
-def _bfs_depths(graph: MarkovGraph, start: str, reverse: bool = False) -> dict[str, int]:
-    """Path length from start to every vertex it reaches (to start, when
-    reverse)."""
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for u, v in graph.arrows:
-        if reverse:
-            succ[v].append(u)
-        else:
-            succ[u].append(v)
-    depth = {start: 0}
+def _bfs_depths(graph: MarkovGraph, reverse: bool = False) -> list[int]:
+    """Path length from the base to every vertex (to the base, when
+    reverse); -1 where there is no path."""
+    succ = _successors(graph, reverse)
+    start = graph._idx[graph.base]
+    depth = [-1] * graph.n
+    depth[start] = 0
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in succ[u]:
-            if v not in depth:
+            if depth[v] < 0:
                 depth[v] = depth[u] + 1
                 queue.append(v)
     return depth
@@ -449,14 +459,10 @@ def _bfs_depths(graph: MarkovGraph, start: str, reverse: bool = False) -> dict[s
 def strongly_connected_defect(graph: MarkovGraph) -> tuple[str, str] | None:
     """None when strongly connected, else a vertex pair (u, v) with no
     path u -> v."""
-    fwd = _bfs_depths(graph, graph.base)
-    for v in graph.vertices:
-        if v not in fwd:
-            return (graph.base, v)
-    bwd = _bfs_depths(graph, graph.base, reverse=True)
-    for v in graph.vertices:
-        if v not in bwd:
-            return (v, graph.base)
+    for reverse in (False, True):
+        for v, d in zip(graph.vertices, _bfs_depths(graph, reverse)):
+            if d < 0:
+                return (v, graph.base) if reverse else (graph.base, v)
     return None
 
 
@@ -469,13 +475,11 @@ def graph_period(graph: MarkovGraph) -> int:
     defect = strongly_connected_defect(graph)
     if defect is not None:
         raise NotStronglyConnectedError(*defect)
-    depth = _bfs_depths(graph, graph.base)
-    g = 0
-    for u, v in graph.arrows:
-        g = math.gcd(g, depth[u] + 1 - depth[v])
+    depth = np.array(_bfs_depths(graph), dtype=np.intp)
+    g = int(np.gcd.reduce(depth[graph._src] + 1 - depth[graph._dst]))
     if g == 0:
         raise ValueError("graph has no cycle; period undefined")
-    return abs(g)
+    return g
 
 
 def is_mixing(graph: MarkovGraph) -> bool:
@@ -491,27 +495,29 @@ def is_mixing(graph: MarkovGraph) -> bool:
 
 
 def _power_iteration(
-    A: np.ndarray, tol: float, max_iter: int = 500_000
+    matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iter: int = 500_000
 ) -> tuple[float, np.ndarray, float]:
-    """Dominant eigenpair of a nonnegative matrix by power iteration.
+    """Dominant eigenpair of a nonnegative n x n matrix, given as its
+    product with a vector, by power iteration.
 
     Returns (lambda, v, residual) with v positive and unit 1-norm.
     Restarts from a perturbed positive vector if the iteration stalls.
     """
-    n = A.shape[0]
     v = np.full(n, 1.0 / n)
+    w = matvec(v)
     lam = 0.0
     residual = math.inf
     stall = 0
     last_res = math.inf
     for it in range(1, max_iter + 1):
-        w = A @ v
         norm = float(np.abs(w).sum())
         if norm == 0.0:
             raise ValueError("matrix annihilated a positive vector; graph is degenerate")
         v_next = w / norm
         lam = float(v @ w) / float(v @ v)
-        residual = float(np.max(np.abs(A @ v_next - lam * v_next)))
+        # A v_next is both this step's residual and the next step's product
+        w = matvec(v_next)
+        residual = float(np.max(np.abs(w - lam * v_next)))
         v = v_next
         if residual <= tol * max(1.0, abs(lam)):
             return lam, v, residual
@@ -521,11 +527,17 @@ def _power_iteration(
             if stall >= 200:
                 v = v + np.linspace(1.0, 2.0, n) * (1.0 / (10.0 * n))
                 v = v / v.sum()
+                w = matvec(v)
                 stall = 0
         else:
             stall = 0
         last_res = residual
     raise ConvergenceError(residual, max_iter)
+
+
+def _matvec(rows: np.ndarray, cols: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> A v for the 0/1 matrix with ones at (rows[k], cols[k])."""
+    return lambda v: np.bincount(rows, weights=v[cols], minlength=n)
 
 
 def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
@@ -536,10 +548,11 @@ def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
     delta is subtracted from the eigenvalue and documented in the output.
     """
     delta = 0.0 if graph_period(graph) == 1 else 1.0
-    A = graph.adjacency_array()
-    shifted = A + delta * np.eye(graph.n)
-    lam_r, alpha, res_r = _power_iteration(shifted, tol)
-    lam_l, beta, res_l = _power_iteration(shifted.T, tol)
+    n = graph.n
+    loops = np.arange(n if delta else 0, dtype=np.intp)  # the loops of M + delta I
+    src, dst = np.concatenate([graph._src, loops]), np.concatenate([graph._dst, loops])
+    lam_r, alpha, res_r = _power_iteration(_matvec(src, dst, n), n, tol)
+    lam_l, beta, res_l = _power_iteration(_matvec(dst, src, n), n, tol)
     lam = 0.5 * (lam_r + lam_l) - delta
     # normalize: alpha unit 1-norm already; scale beta so <alpha, beta> = 1
     scale = float(alpha @ beta)
@@ -548,8 +561,8 @@ def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
     beta = beta / scale
     residual = float(
         max(
-            np.max(np.abs(A @ alpha - lam * alpha)),
-            np.max(np.abs(beta @ A - lam * beta)),
+            np.max(np.abs(_matvec(graph._src, graph._dst, n)(alpha) - lam * alpha)),
+            np.max(np.abs(_matvec(graph._dst, graph._src, n)(beta) - lam * beta)),
         )
     )
     return SpectralData(lam=lam, alpha=alpha, beta=beta, residual=residual, delta=delta)
@@ -571,7 +584,6 @@ def build_mme(spec: SpectralData, graph: MarkovGraph) -> MaxEntropyChain:
     makes rows stochastic and pi = alpha.beta stationary.  Vanishing
     eigenvector entries signal a reducible graph and raise.
     """
-    A = graph.adjacency_array()
     alpha, beta, lam = spec.alpha, spec.beta, spec.lam
     tiny = 1e-300
     for i, v in enumerate(graph.vertices):
@@ -579,9 +591,9 @@ def build_mme(spec: SpectralData, graph: MarkovGraph) -> MaxEntropyChain:
             raise ValueError(
                 f"eigenvector vanishes at reachable vertex {v!r}; graph is reducible"
             )
-    p = (A * alpha[None, :]) / (lam * alpha[:, None])
-    rows = p.sum(axis=1)
-    p = p / rows[:, None]
+    p = np.zeros((graph.n, graph.n))
+    p[graph._src, graph._dst] = alpha[graph._dst] / (lam * alpha[graph._src])
+    p /= p.sum(axis=1)[:, None]
     pi = alpha * beta
     pi = pi / pi.sum()
     return MaxEntropyChain(
@@ -591,50 +603,35 @@ def build_mme(spec: SpectralData, graph: MarkovGraph) -> MaxEntropyChain:
 
 def chain_entropy(chain: MaxEntropyChain) -> float:
     """Entropy rate -sum_i pi_i sum_j p_ij log p_ij of the chain."""
-    p = chain.p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-(chain.pi @ plogp.sum(axis=1)))
+    i, j = np.nonzero(chain.p)
+    q = chain.p[i, j]
+    rows = np.bincount(i, weights=q * np.log(q), minlength=len(chain.pi))
+    return float(-(chain.pi @ rows))
 
 
 # ---------------------------------------------------------------------------
 # periodic points
 
 
-def _int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    Oi[j] += a * Bk[j]
-    return out
-
-
-def _int_matpow(A: list[list[int]], p: int) -> list[list[int]]:
-    n = len(A)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [row[:] for row in A]
-    while p:
-        if p & 1:
-            result = _int_matmul(result, base)
-        p >>= 1
-        if p:
-            base = _int_matmul(base, base)
-    return result
+def _walks(succ: list[list[int]], start: int, length: int) -> list[int]:
+    """Exact number of walks of the given length from start to each vertex."""
+    vec = [int(v == start) for v in range(len(succ))]
+    for _ in range(length):
+        nxt = [0] * len(succ)
+        for u, c in enumerate(vec):
+            if c:
+                for v in succ[u]:
+                    nxt[v] += c
+        vec = nxt
+    return vec
 
 
 def shift_periodic_census(graph: MarkovGraph, p: int) -> int:
-    """Card Fix sigma^p = trace(M^p), exact."""
+    """Card Fix sigma^p = trace(M^p), exact: the closed walks of length p."""
     if p < 1:
         raise ValueError("period must be >= 1")
-    Mp = _int_matpow(graph.adjacency(), p)
-    return sum(Mp[i][i] for i in range(graph.n))
+    succ = _successors(graph)
+    return sum(_walks(succ, v, p)[v] for v in range(graph.n))
 
 
 class CylinderComparison(NamedTuple):
@@ -652,6 +649,9 @@ def equidistribution_cylinder(
     paths v_k -> v_0 of length p - k.  The anchor drops out of the count
     by shift invariance of Fix sigma^p.
     """
+    for v in cyl.word:
+        if v not in graph._idx:
+            raise ValueError(f"cylinder vertex {v!r} is not a vertex of the graph")
     k = len(cyl) - 1
     if p < len(cyl):
         raise ValueError("period shorter than the cylinder word")
@@ -661,9 +661,8 @@ def equidistribution_cylinder(
     for u, v in zip(cyl.word, cyl.word[1:]):
         if (u, v) not in graph.arrows:
             return CylinderComparison(empirical=0.0, mme=0.0)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    Mp = _int_matpow(graph.adjacency(), p - k)  # p >= k + 1 here
-    count = Mp[idx[cyl.word[-1]]][idx[cyl.word[0]]]
+    idx = graph._idx
+    count = _walks(_successors(graph), idx[cyl.word[-1]], p - k)[idx[cyl.word[0]]]
     empirical = count / total
     mme = chain.pi_of(cyl.word[0])
     for u, v in zip(cyl.word, cyl.word[1:]):

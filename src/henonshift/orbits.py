@@ -218,9 +218,6 @@ class PeriodicCensus:
     tol: float
     stable: bool | None = None
 
-    def least_period_orbits(self) -> tuple[PeriodicOrbit, ...]:
-        return tuple(o for o in self.orbits if o.least_period == self.p)
-
 
 def _newton_batch(
     m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
@@ -585,26 +582,34 @@ def square_horseshoe_censuses(M: int, n_max: int) -> list[tuple[int, int]]:
 # export
 
 
-def census_to_csv(census: PeriodicCensus, path: str) -> None:
-    """Write one row per orbit: p,least_period,x,y,mult1,mult2,residual."""
+_CENSUS_CSV_HEADER = ("p", "least_period", "x", "y", "mult1", "mult2", "residual")
+
+
+def _census_csv_rows(census: PeriodicCensus) -> list[tuple]:
+    """One CSV row per orbit, in the columns of _CENSUS_CSV_HEADER."""
 
     def cfmt(z: complex) -> str:
         if z.imag == 0.0:
             return f"{z.real:.17g}"
         return f"{z.real:.17g}{z.imag:+.17g}j"
 
+    return [
+        (
+            census.p,
+            o.least_period,
+            f"{o.representative[0]:.17g}",
+            f"{o.representative[1]:.17g}",
+            cfmt(o.multipliers[0]),
+            cfmt(o.multipliers[1]),
+            f"{o.residual:.3e}",
+        )
+        for o in census.orbits
+    ]
+
+
+def census_to_csv(census: PeriodicCensus, path: str) -> None:
+    """Write one row per orbit: p,least_period,x,y,mult1,mult2,residual."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["p", "least_period", "x", "y", "mult1", "mult2", "residual"])
-        for o in census.orbits:
-            w.writerow(
-                [
-                    census.p,
-                    o.least_period,
-                    f"{o.representative[0]:.17g}",
-                    f"{o.representative[1]:.17g}",
-                    cfmt(o.multipliers[0]),
-                    cfmt(o.multipliers[1]),
-                    f"{o.residual:.3e}",
-                ]
-            )
+        w.writerow(_CENSUS_CSV_HEADER)
+        w.writerows(_census_csv_rows(census))

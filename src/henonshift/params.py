@@ -93,8 +93,3 @@ class Params:
     def lam(self) -> float:
         """Covering-sum decay target e^{-M^(1/4)}."""
         return math.exp(-self.M ** 0.25)
-
-    @property
-    def holder_exponent(self) -> float:
-        """Modulus of the coding map, c/(3 log 2) = 1/6.  Recorded only."""
-        return self.c / (3.0 * math.log(2.0))

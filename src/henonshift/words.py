@@ -111,9 +111,6 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.symbols)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.symbols + other.symbols)
-
     def suffix(self, k: int) -> "Word":
         return Word(self.symbols[len(self.symbols) - k:]) if k else UNIT_WORD
 
@@ -205,10 +202,6 @@ class SuitabilityModel:
             bad = [k for k in self.simple_orders if not 2 <= k <= self.M]
             if bad:
                 raise ValueError(f"simple orders outside [2, M]: {bad}")
-
-    @property
-    def square_order(self) -> int:
-        return self.M + 1
 
     def multiplicity_of_order(self, k: int) -> int:
         """Number of symbols of order k (0 when inadmissible)."""

@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from henonshift import markov
 from henonshift.cli import main
+from henonshift.henon import HenonMap
+from henonshift.markov import graph_from_dict, gurevich_entropy
+from henonshift.orbits import census_to_csv, periodic_orbits_2d
 
 
 GOLDEN = {
@@ -123,6 +127,64 @@ def test_shift_malformed_graph_reports_location(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+_BAD_DOCS = {
+    "golden": GOLDEN,
+    "no_base": {"vertices": ["0", "1"], "arrows": [["0", "1"], ["1", "0"]]},
+    "undeclared": {"vertices": ["0", "1"], "base": "0", "arrows": [["0", "1"], ["1", "2"]]},
+    "model_bad_m": {"M": "x"},
+    "model_bad_name": {"M": 60, "model": "nope"},
+}
+_BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "--scales"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _BOXDIM + ["abc"],
+        _BOXDIM + ["nan"],
+        _BOXDIM + ["0.1,0,0.01"],
+        ["shift", "entropy", "--graph", "{no_base}"],
+        ["shift", "entropy", "--graph", "{undeclared}"],
+        ["stats", "return-decay", "--model", "{model_bad_m}"],
+        ["stats", "return-decay", "--model", "{model_bad_name}"],
+        ["stats", "mixing", "--seed", "1", "--n", "1000", "--g", "cheb:x"],
+        ["stats", "mixing", "--seed", "1", "--n", "1000", "--g", "bump:1"],
+        ["shift", "equidist", "--graph", "{golden}", "--p", "8", "--cylinder", "zz"],
+        ["shift", "equidist", "--graph", "{golden}", "--p", "8", "--cylinder", "0,zz"],
+        ["shift", "equidist", "--graph", "{golden}", "--p", "1", "--cylinder", "0,1"],
+        ["shift", "fix-count", "--graph", "{golden}", "--p", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
+    paths = {name: _write(tmp_path, f"{name}.json", doc) for name, doc in _BAD_DOCS.items()}
+    code, out = _run(capsys, [a.format(**paths) for a in argv])
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["shift", "entropy"], ["stats", "return-decay", "--horizon", "40"]],
+    ids=["shift entropy", "stats return-decay"],
+)
+def test_graph_verbs_solve_perron_once(tmp_path, capsys, monkeypatch, argv):
+    solves = []
+    real = markov._power_iteration
+
+    def counting(*a, **kw):
+        solves.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(markov, "_power_iteration", counting)
+    g = _write(tmp_path, "g.json", GOLDEN)
+    code, doc = _run_json(capsys, argv + ["--graph", g])
+    assert code in (0, 2)
+    assert len(solves) == 2  # one perron: the right and the left vector
+    h = gurevich_entropy(graph_from_dict(GOLDEN))
+    assert doc["result"].get("entropy", doc["result"].get("h_top")) == h
+
+
 def test_shift_disconnected_graph_analysis_error(tmp_path, capsys):
     g = _write(
         tmp_path,
@@ -160,6 +222,10 @@ def test_orbits_census_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "least_period", "x", "y", "mult1", "mult2", "residual"]
     assert sum(int(r[1]) for r in rows[1:]) == 8
+    # the library writer formats the same census identically
+    lib = tmp_path / "lib.csv"
+    census_to_csv(periodic_orbits_2d(HenonMap(a=-2.0, b=0.0), 3, grid=(256, 8)), str(lib))
+    assert lib.read_bytes() == out.read_bytes()
 
 
 def test_orbits_census_refine_flag(capsys):

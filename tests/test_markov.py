@@ -5,6 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,22 @@ from henonshift.markov import (
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def renewal_shift(n: int) -> MarkovGraph:
+    """Truncated renewal shift: 0 -> j for every j, j -> j-1."""
+    vs = tuple(str(i) for i in range(n))
+    arrows = {("0", v) for v in vs} | {(vs[j], vs[j - 1]) for j in range(1, n)}
+    return MarkovGraph(vs, frozenset(arrows), "0")
+
+
+def _graph_from_matrix(A: np.ndarray) -> MarkovGraph:
+    n = len(A)
+    return MarkovGraph(
+        vertices=tuple(f"v{i}" for i in range(n)),
+        arrows=frozenset((f"v{i}", f"v{j}") for i in range(n) for j in range(n) if A[i, j]),
+        base="v0",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +186,10 @@ def test_perron_searches_connectivity_once(monkeypatch):
 
 def test_adjacency_array_matches_exact_adjacency():
     for g in (golden_mean_graph(), cycle_graph(5), full_shift_graph(3), self_loop_graph()):
-        assert np.array_equal(g.adjacency_array(), np.array(g.adjacency(), dtype=float))
+        ref = np.zeros((g.n, g.n))
+        for u, v in g.arrows:
+            ref[g.vertices.index(u), g.vertices.index(v)] = 1.0
+        assert np.array_equal(g.adjacency_array(), ref)
     empty = MarkovGraph(vertices=("a", "b"), arrows=frozenset(), base="a")
     assert np.array_equal(empty.adjacency_array(), np.zeros((2, 2)))
 
@@ -191,14 +215,7 @@ def test_perron_matches_dense_eigensolver_on_samples():
         n = int(rng.integers(2, 7))
         A = (rng.random((n, n)) < 0.5).astype(int)
         A[np.arange(n), (np.arange(n) + 1) % n] = 1  # force a covering cycle
-        g = MarkovGraph(
-            vertices=tuple(f"v{i}" for i in range(n)),
-            arrows=frozenset(
-                (f"v{i}", f"v{j}") for i in range(n) for j in range(n) if A[i, j]
-            ),
-            base="v0",
-        )
-        spec = perron(g)
+        spec = perron(_graph_from_matrix(A))
         lam_oracle = max(abs(np.linalg.eigvals(A.astype(float))))
         assert abs(spec.lam - lam_oracle) < 1e-8 * max(1.0, lam_oracle)
 
@@ -234,13 +251,7 @@ def test_mme_is_stationary_on_random_graphs(n, seed):
     rng = np.random.default_rng(seed)
     A = (rng.random((n, n)) < 0.6).astype(int)
     A[np.arange(n), (np.arange(n) + 1) % n] = 1
-    g = MarkovGraph(
-        vertices=tuple(f"v{i}" for i in range(n)),
-        arrows=frozenset(
-            (f"v{i}", f"v{j}") for i in range(n) for j in range(n) if A[i, j]
-        ),
-        base="v0",
-    )
+    g = _graph_from_matrix(A)
     chain = build_mme(perron(g), g)
     pi = np.array(chain.pi)
     P = np.array(chain.p)
@@ -287,6 +298,110 @@ def test_missing_arrow_cylinder_has_zero_mass():
     chain = build_mme(perron(g), g)
     comp = equidistribution_cylinder(g, 8, CylinderWord(("1", "1")), chain)
     assert comp.empirical == 0.0 and comp.mme == 0.0
+
+
+def test_cylinder_rejects_unknown_vertex():
+    g = golden_mean_graph()
+    chain = build_mme(perron(g), g)
+    for word in (("zz",), ("0", "zz")):
+        with pytest.raises(ValueError, match="'zz'"):
+            equidistribution_cylinder(g, 8, CylinderWord(word), chain)
+
+
+def _exact_adjacency(g: MarkovGraph) -> np.ndarray:
+    """Integer adjacency as Python ints (object dtype), from the arrows."""
+    A = np.zeros((g.n, g.n), dtype=object)
+    for u, v in g.arrows:
+        A[g.vertices.index(u), g.vertices.index(v)] = 1
+    return A
+
+
+def _check_counts_against_matrix_powers(g: MarkovGraph, p_max: int) -> None:
+    A = _exact_adjacency(g)
+    vs = g.vertices[:4]
+    words = [(v,) for v in vs] + [(u, v) for u in vs for v in vs]
+    words += [(u, v, u) for u in vs for v in vs]
+    chain = build_mme(perron(g), g)
+    for p in range(1, p_max + 1):
+        total = int(np.trace(np.linalg.matrix_power(A, p)))
+        assert shift_periodic_census(g, p) == total
+        for w in words:
+            k = len(w) - 1
+            if p < len(w):
+                continue
+            if total == 0:
+                with pytest.raises(ValueError, match="empty"):
+                    equidistribution_cylinder(g, p, CylinderWord(w), chain)
+                continue
+            comp = equidistribution_cylinder(g, p, CylinderWord(w), chain)
+            i = [g.vertices.index(v) for v in w]
+            if all(A[a, b] for a, b in zip(i, i[1:])):
+                count = np.linalg.matrix_power(A, p - k)[i[-1], i[0]]
+                assert comp.empirical == count / total
+            else:
+                assert comp.empirical == 0.0
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [golden_mean_graph(), cycle_graph(5), full_shift_graph(2), full_shift_graph(3),
+     renewal_shift(9), self_loop_graph()],
+    ids=["golden", "cycle5", "full2", "full3", "renewal9", "self_loop"],
+)
+def test_exact_counts_match_integer_matrix_powers(graph):
+    _check_counts_against_matrix_powers(graph, 20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10**6))
+def test_exact_counts_match_integer_matrix_powers_on_random_graphs(n, seed):
+    rng = np.random.default_rng(seed)
+    A = (rng.random((n, n)) < 0.5).astype(int)
+    A[np.arange(n), (np.arange(n) + 1) % n] = 1
+    _check_counts_against_matrix_powers(_graph_from_matrix(A), 20)
+
+
+def test_perron_and_mme_memory_is_linear_in_the_arrows():
+    g = renewal_shift(2000)
+    perron(golden_mean_graph())  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        chain = build_mme(perron(g), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense output p alone is 2000^2 floats = 32 MB
+    assert chain.p.nbytes == 32_000_000
+    assert peak < 40e6
+
+
+_HASH_SCRIPT = """
+import numpy as np
+from henonshift.markov import MarkovGraph, build_mme, perron
+rng = np.random.default_rng(3)
+n = 40
+names = tuple(f"w{i}" for i in range(n))
+arrows = {(names[i], names[(i + 1) % n]) for i in range(n)}
+arrows |= {(names[i], names[j]) for i, j in rng.integers(0, n, (120, 2))}
+g = MarkovGraph(names, frozenset(arrows), names[0])
+spec = perron(g)
+chain = build_mme(spec, g)
+for a in (spec.lam, spec.alpha, spec.beta, spec.residual, chain.pi, chain.p):
+    print(np.asarray(a).tobytes().hex())
+"""
+
+
+def test_perron_output_does_not_depend_on_hash_seed():
+    src = str(Path(markov.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
