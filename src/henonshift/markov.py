@@ -12,6 +12,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -201,11 +202,11 @@ class LoopCensus:
 
     def renewal_defect(self) -> list[int]:
         """Z_n - sum_k Z*_k Z_{n-k}; all zeros iff the renewal identity holds."""
-        out = []
-        for n in range(1, self.horizon + 1):
-            conv = sum(self.zstar(k) * self.z(n - k) for k in range(1, n + 1))
-            out.append(self.z(n) - conv)
-        return out
+        Z = (1, *self.Z)  # Z[n] = Z_n from Z_0 = 1
+        return [
+            Z[n] - sum(map(mul, self.Zstar[:n], Z[n - 1 :: -1]))
+            for n in range(1, self.horizon + 1)
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -456,14 +457,23 @@ def _bfs_depths(graph: MarkovGraph, reverse: bool = False) -> list[int]:
     return depth
 
 
+def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, list[int]]:
+    """strongly_connected_defect and the forward BFS depths it searched;
+    the reverse search runs only when the base reaches every vertex."""
+    depth = _bfs_depths(graph)
+    for v, d in zip(graph.vertices, depth):
+        if d < 0:
+            return (graph.base, v), depth
+    for v, d in zip(graph.vertices, _bfs_depths(graph, reverse=True)):
+        if d < 0:
+            return (v, graph.base), depth
+    return None, depth
+
+
 def strongly_connected_defect(graph: MarkovGraph) -> tuple[str, str] | None:
     """None when strongly connected, else a vertex pair (u, v) with no
     path u -> v."""
-    for reverse in (False, True):
-        for v, d in zip(graph.vertices, _bfs_depths(graph, reverse)):
-            if d < 0:
-                return (v, graph.base) if reverse else (graph.base, v)
-    return None
+    return _defect_and_depths(graph)[0]
 
 
 def graph_period(graph: MarkovGraph) -> int:
@@ -472,10 +482,10 @@ def graph_period(graph: MarkovGraph) -> int:
     Equivalently the gcd of loop lengths at the base; computed from BFS
     levels: every arrow (u, v) contributes d(u) + 1 - d(v).
     """
-    defect = strongly_connected_defect(graph)
+    defect, forward = _defect_and_depths(graph)
     if defect is not None:
         raise NotStronglyConnectedError(*defect)
-    depth = np.array(_bfs_depths(graph), dtype=np.intp)
+    depth = np.array(forward, dtype=np.intp)
     g = int(np.gcd.reduce(depth[graph._src] + 1 - depth[graph._dst]))
     if g == 0:
         raise ValueError("graph has no cycle; period undefined")

@@ -11,7 +11,7 @@ covering-sum dimension bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -56,8 +56,27 @@ _KINDS = ("simple", "square", "parabolic", "square_c")
 _SIGNS = ("+", "-", "b")
 
 
+class _HashOnce:
+    """Base of a frozen dataclass whose field hash is computed once per
+    object: divisibility and its callers look the same words up many
+    times.  The cached value stays out of pickles and copies, since str
+    hashes differ between processes."""
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Symbol:
+class Symbol(_HashOnce):
     """One alphabet symbol.
 
     kind : simple | square | parabolic | square_c
@@ -94,9 +113,11 @@ class Symbol:
     def __repr__(self) -> str:  # compact in word dumps
         return self.id
 
+    __hash__ = _HashOnce.__hash__  # an explicit __hash__ stops dataclass from generating one
+
 
 @dataclass(frozen=True)
-class Word:
+class Word(_HashOnce):
     """Finite symbol string; the empty tuple is the unit word e (order 0)."""
 
     symbols: tuple[Symbol, ...] = ()
@@ -116,6 +137,8 @@ class Word:
 
     def __repr__(self) -> str:
         return "e" if not self.symbols else "·".join(s.id for s in self.symbols)
+
+    __hash__ = _HashOnce.__hash__
 
 
 UNIT_WORD = Word(())
@@ -455,53 +478,87 @@ def divides(
         left word, so it terminates.
 
     spelling must map every parabolic symbol reached by D2 to a word of
-    strictly smaller order (the spelled-out common piece).
+    strictly smaller order (the spelled-out common piece); it is looked up
+    only when D2 is reached.  memo is an opaque cache: pass one dict to
+    many calls to share their work.  One memo serves one spelling map.
     """
     if memo is None:
         memo = {}
-    return _divides(a, b, spelling, memo)
+    coded = memo.get(_CodedWords)
+    if coded is None:
+        coded = memo[_CodedWords] = _CodedWords()
+    return coded.divides(coded.encode(a), coded.encode(b), spelling)
 
 
-def _divides(a: Word, b: Word, spelling: Mapping[Symbol, Word], memo: dict) -> bool:
-    if a == b or not b:
-        return True
-    key = (a, b)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    memo[key] = False  # cycles cannot certify divisibility
-    result = False
+class _CodedWords:
+    """Divisibility on words coded as tuples of small ints, one code per
+    distinct symbol, with the relation found so far.  Lives in a divides
+    memo, so each word is coded once per memo."""
 
-    if len(a) == 1 and a.symbols[0].kind == "parabolic":
-        sym = a.symbols[0]
-        try:
-            spelled = spelling[sym]
-        except KeyError:
-            raise ValueError(f"no spelling provided for parabolic symbol {sym.id}")
-        if spelled.order >= a.order:
-            raise ValueError(
-                f"spelling of {sym.id} must have order < {a.order}, got {spelled.order}"
-            )
-        result = _divides(spelled, b, spelling, memo)
+    def __init__(self) -> None:
+        self.code: dict[Symbol, int] = {}
+        self.symbols: list[Symbol] = []
+        self.words: dict[Word, tuple[int, ...]] = {}
+        self.relation: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
 
-    if not result:
-        la, lb = len(a), len(b)
-        for k in range(0, min(la, lb) + 1):
-            if k and a.symbols[la - k] != b.symbols[lb - k]:
-                break
-            b2 = Word(b.symbols[: lb - k])
-            for m in range(0, la - k + 1):
-                if m == 0 and k == 0:
-                    continue  # a3 and a1 both empty would not decrease the order
-                a2 = Word(a.symbols[m : la - k])
-                if _divides(a2, b2, spelling, memo):
-                    result = True
+    def encode(self, w: Word) -> tuple[int, ...]:
+        coded = self.words.get(w)
+        if coded is None:
+            code, symbols = self.code, self.symbols
+            for sym in w.symbols:
+                if sym not in code:
+                    code[sym] = len(symbols)
+                    symbols.append(sym)
+            coded = self.words[w] = tuple(code[sym] for sym in w.symbols)
+        return coded
+
+    def divides(
+        self, a: tuple[int, ...], b: tuple[int, ...], spelling: Mapping[Symbol, Word]
+    ) -> bool:
+        if a == b or not b:
+            return True
+        relation = self.relation
+        key = (a, b)
+        cached = relation.get(key)
+        if cached is not None:
+            return cached
+        # Every step lowers (order, length) of a, so no search meets its own
+        # key; a pair is stored only once decided, and a search that raised
+        # leaves nothing behind.
+        result = False
+
+        if len(a) == 1 and self.symbols[a[0]].kind == "parabolic":
+            sym = self.symbols[a[0]]
+            try:
+                spelled = spelling[sym]
+            except KeyError:
+                raise ValueError(f"no spelling provided for parabolic symbol {sym.id}")
+            if spelled.order >= sym.order:
+                raise ValueError(
+                    f"spelling of {sym.id} must have order < {sym.order}, got {spelled.order}"
+                )
+            result = self.divides(self.encode(spelled), b, spelling)
+
+        if not result:
+            la, lb = len(a), len(b)
+            for k in range(0, min(la, lb) + 1):
+                if k and a[la - k] != b[lb - k]:
                     break
-            if result:
-                break
+                b2 = b[: lb - k]
+                # a3 and a1 both empty (m = k = 0) would not decrease the order
+                for m in range(0 if k else 1, la - k + 1):
+                    a2 = a[m : la - k]
+                    held = relation.get((a2, b2))  # most subproblems are known
+                    if held is None:
+                        held = self.divides(a2, b2, spelling)
+                    if held:
+                        result = True
+                        break
+                if result:
+                    break
 
-    memo[key] = result
-    return result
+        relation[key] = result
+        return result
 
 
 def canonical_spellings(
@@ -634,25 +691,28 @@ def enumerate_words(
     leading simple symbol followed by non-simple symbols."""
     if order < 0:
         raise ValueError("order must be >= 0")
-
-    def rec(remaining: int, acc: tuple[Symbol, ...]) -> Iterator[Word]:
-        if remaining == 0:
-            if acc:
-                yield Word(acc)
-            return
-        for k in range(2, remaining + 1):
-            for sym in model.symbols_of_order(k):
-                if prime:
-                    if not acc and sym.kind != "simple":
-                        continue
-                    if acc and sym.kind == "simple":
-                        continue
-                yield from rec(remaining - k, acc + (sym,))
-
     if order == 0:
         yield UNIT_WORD
         return
-    yield from rec(order, ())
+    # symbols by order, for the first position and for the later ones
+    table = [model.symbols_of_order(k) for k in range(order + 1)]
+    first = rest = table
+    if prime:
+        first = [tuple(s for s in syms if s.kind == "simple") for syms in table]
+        rest = [tuple(s for s in syms if s.kind != "simple") for syms in table]
+
+    def rec(
+        remaining: int, acc: tuple[Symbol, ...], by_order: list[tuple[Symbol, ...]]
+    ) -> Iterator[Word]:
+        for k in range(2, remaining + 1):
+            left = remaining - k
+            for sym in by_order[k]:
+                if left:
+                    yield from rec(left, acc + (sym,), rest)
+                else:
+                    yield Word(acc + (sym,))
+
+    yield from rec(order, (), first)
 
 
 # ---------------------------------------------------------------------------

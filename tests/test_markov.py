@@ -85,6 +85,29 @@ def test_full_shift_census():
     assert all(d == 0 for d in census.renewal_defect())
 
 
+def _renewal_defect_reference(census: LoopCensus) -> list[int]:
+    """Z_n - sum_k Z*_k Z_{n-k}, term by term through z() and zstar()."""
+    out = []
+    for n in range(1, census.horizon + 1):
+        conv = sum(census.zstar(k) * census.z(n - k) for k in range(1, n + 1))
+        out.append(census.z(n) - conv)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**40), st.integers(0, 10**40)), min_size=1, max_size=60))
+def test_renewal_defect_matches_termwise_sum(terms):
+    census = LoopCensus(
+        base="0",
+        horizon=len(terms),
+        Z=tuple(zs + extra for zs, extra in terms),
+        Zstar=tuple(zs for zs, _ in terms),
+    )
+    defect = census.renewal_defect()
+    assert defect == _renewal_defect_reference(census)
+    assert all(type(d) is int for d in defect)
+
+
 def test_cycle_census_period_three():
     census = count_loops(cycle_graph(3), 9)
     assert census.Z == (0, 0, 1, 0, 0, 1, 0, 0, 1)
@@ -168,20 +191,27 @@ def test_strong_connectivity_defect_names_pair():
 
 def test_perron_searches_connectivity_once(monkeypatch):
     calls = []
-    real = markov.strongly_connected_defect
+    real = markov._bfs_depths
 
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
+    def counting(graph, reverse=False):
+        calls.append(reverse)
+        return real(graph, reverse)
 
-    monkeypatch.setattr(markov, "strongly_connected_defect", counting)
+    monkeypatch.setattr(markov, "_bfs_depths", counting)
     perron(golden_mean_graph())
-    assert len(calls) == 1
+    assert sorted(calls) == [False, True]  # one forward, one reverse search
     g = MarkovGraph(vertices=("a", "b"), arrows=frozenset({("a", "b")}), base="a")
     with pytest.raises(NotStronglyConnectedError) as err:
         perron(g)
     assert err.value.pair == ("b", "a")
     assert not is_mixing(g)
+    # neither direction connected: the forward defect is the one raised
+    g = MarkovGraph(("a", "b", "c"), frozenset({("a", "b"), ("c", "a")}), "a")
+    calls.clear()
+    with pytest.raises(NotStronglyConnectedError) as err:
+        graph_period(g)
+    assert err.value.pair == ("a", "c") and calls == [False]
+    assert strongly_connected_defect(g) == ("a", "c")
 
 
 def test_adjacency_array_matches_exact_adjacency():

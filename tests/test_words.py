@@ -3,8 +3,19 @@ the divisibility order, regularity checks, and covering-sum bounds."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import math
+import os
+import pickle
+import random
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +123,54 @@ def test_one_count_table_per_model():
     assert len(fresh._counts.w) == 2  # a new model starts its own table
     assert zstar_from_model(300, fresh) == counts.Z[300]
     assert count_sharp(300, fresh) == counts.w[300]
+
+
+def _enumerate_reference(model: SuitabilityModel, order: int, prime: bool = False) -> Iterator[Word]:
+    """Every model word of the exact order, depth first by symbol order
+    then sign, asking the model for its symbols at every node."""
+
+    def rec(remaining: int, acc: tuple[Symbol, ...]) -> Iterator[Word]:
+        if remaining == 0:
+            if acc:
+                yield Word(acc)
+            return
+        for k in range(2, remaining + 1):
+            for sym in model.symbols_of_order(k):
+                if prime:
+                    if not acc and sym.kind != "simple":
+                        continue
+                    if acc and sym.kind == "simple":
+                        continue
+                yield from rec(remaining - k, acc + (sym,))
+
+    if order == 0:
+        yield UNIT_WORD
+        return
+    yield from rec(order, ())
+
+
+ENUMERATION_MODELS = [
+    full_model(10),
+    simple_only_model(10),
+    SuitabilityModel(M=12, simple_orders=(2, 3, 7)),
+    SuitabilityModel(M=8, include_square=False),
+    SuitabilityModel(M=8, include_parabolic=False),
+]
+
+
+@pytest.mark.parametrize("model", ENUMERATION_MODELS, ids=repr)
+def test_enumerate_words_order_matches_reference(model):
+    for order in range(15):
+        for prime in (False, True):
+            assert list(enumerate_words(model, order, prime)) == list(
+                _enumerate_reference(model, order, prime)
+            )
+
+
+def test_enumerate_words_is_lazy():
+    gen = enumerate_words(full_model(10), 80)
+    assert inspect.isgenerator(gen)
+    assert next(gen) == Word((s_plus(),) * 40)
 
 
 def test_sharp_bounded_by_2_pow_n():
@@ -289,8 +348,6 @@ def test_partial_order_exhaustive_small_model():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 10**6))
 def test_divides_unit_always(order, seed):
-    import random
-
     m = full_model(5)
     sp = _spelling(5, 24)
     rng = random.Random(seed)
@@ -300,6 +357,108 @@ def test_divides_unit_always(order, seed):
     w = rng.choice(words)
     assert divides(w, UNIT_WORD, sp)
     assert divides(w, w, sp)
+
+
+def _divides_reference(a: Word, b: Word, spelling, memo: dict) -> bool:
+    """Right divisibility by recursion on Word objects, rules D1-D3 as in
+    the divides docstring."""
+    if a == b or not b:
+        return True
+    key = (a, b)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    memo[key] = False
+    result = False
+
+    if len(a) == 1 and a.symbols[0].kind == "parabolic":
+        sym = a.symbols[0]
+        try:
+            spelled = spelling[sym]
+        except KeyError:
+            raise ValueError(f"no spelling provided for parabolic symbol {sym.id}")
+        if spelled.order >= a.order:
+            raise ValueError(
+                f"spelling of {sym.id} must have order < {a.order}, got {spelled.order}"
+            )
+        result = _divides_reference(spelled, b, spelling, memo)
+
+    if not result:
+        la, lb = len(a), len(b)
+        for k in range(0, min(la, lb) + 1):
+            if k and a.symbols[la - k] != b.symbols[lb - k]:
+                break
+            b2 = Word(b.symbols[: lb - k])
+            for m in range(0, la - k + 1):
+                if m == 0 and k == 0:
+                    continue
+                a2 = Word(a.symbols[m : la - k])
+                if _divides_reference(a2, b2, spelling, memo):
+                    result = True
+                    break
+            if result:
+                break
+
+    memo[key] = result
+    return result
+
+
+def _criterion_09_sample() -> list[Word]:
+    """Criterion 09's random words of order <= 30 at M = 10."""
+    model10 = full_model(10)
+    rng = random.Random(20260814)
+
+    def rand_word(max_order: int) -> Word:
+        syms = []
+        budget = rng.randint(2, max_order)
+        while budget >= 2:
+            o = rng.randint(2, min(budget, 16))
+            syms.append(rng.choice(model10.symbols_of_order(o)))
+            budget -= o
+        return Word(tuple(syms)) if syms else UNIT_WORD
+
+    return sorted({UNIT_WORD} | {rand_word(30) for _ in range(60)}, key=repr)
+
+
+@pytest.mark.parametrize(
+    "M, universe",
+    [
+        (4, lambda: [UNIT_WORD] + [w for n in range(2, 9) for w in enumerate_words(full_model(4), n)]),
+        (10, _criterion_09_sample),
+    ],
+    ids=["exhaustive_M4", "criterion09_sample_M10"],
+)
+def test_divides_matches_word_recursion(M, universe):
+    words = universe()
+    sp = canonical_spellings(full_model(M), 64)
+    ref_memo: dict = {}
+    expected = [_divides_reference(a, b, sp, ref_memo) for a in words for b in words]
+    memo: dict = {}
+    assert [divides(a, b, sp, memo) for a in words for b in words] == expected
+    assert [divides(a, b, sp) for a in words for b in words] == expected
+    assert any(expected) and not all(expected)
+
+
+def test_divides_looks_up_spellings_only_at_d2():
+    p = full_model(4).symbols_of_order(8)[0]  # parabolic, depth 3
+    s2 = s_plus()
+    # D1 and D3 settle these without spelling p out
+    assert divides(Word((p,)), UNIT_WORD, {})
+    assert divides(Word((s2, p)), Word((p,)), {})
+    not_lower = {p: Word((Symbol("simple", 4, "+"), Symbol("simple", 4, "-")))}
+    for spelling, message in (
+        ({}, f"no spelling provided for parabolic symbol {p.id}"),
+        (not_lower, f"spelling of {p.id} must have order < 8, got 8"),
+    ):
+        memo: dict = {}
+        for check in (
+            lambda: divides(Word((p,)), Word((s2,)), spelling),
+            lambda: _divides_reference(Word((p,)), Word((s2,)), spelling, {}),
+            lambda: divides(Word((s2, p)), Word((s2,)), spelling, memo),
+            lambda: divides(Word((s2, p)), Word((s2,)), spelling, memo),  # no stale result
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check()
 
 
 def test_canonical_spellings_strictly_decrease_order():
@@ -429,3 +588,53 @@ def test_word_json_roundtrip():
         )
     )
     assert word_from_dicts(word_to_dicts(w)) == w
+
+
+def test_equal_symbols_and_words_hash_equal():
+    def build():
+        return (
+            Symbol("parabolic", 15, "-", depth=3),
+            Word((s_plus(), Symbol("square", 11, "+"), Symbol("parabolic", 15, "-", depth=3))),
+        )
+
+    (sym1, w1), (sym2, w2) = build(), build()
+    hash(sym1), hash(w1)  # one side hashed (and cached) before the other
+    for x, y in ((sym1, sym2), (w1, w2)):
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        for z in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert z == x and hash(z) == hash(x)
+    assert dataclasses.asdict(sym1) == {"kind": "parabolic", "order": 15, "sign": "-", "depth": 3}
+    assert dataclasses.replace(sym1, sign="+") == Symbol("parabolic", 15, "+", depth=3)
+    assert hash(sym1) == hash(("parabolic", 15, "-", 3))
+
+
+_WORD_SRC = "Word((s_plus(), Symbol('parabolic', 15, '-', depth=3)))"
+_PICKLE_WORD = f"""
+import pickle, sys
+from henonshift.words import Symbol, Word, s_plus
+w = {_WORD_SRC}
+hash(w)
+sys.stdout.write(pickle.dumps(w).hex())
+"""
+_FIND_WORD = f"""
+import pickle, sys
+from henonshift.words import Symbol, Word, s_plus
+table = {{{_WORD_SRC}: "found"}}
+print(table.get(pickle.loads(bytes.fromhex(sys.stdin.read())), "missing"))
+"""
+
+
+def test_pickled_word_is_found_under_another_hash_seed():
+    src = str(Path(words.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    dumped = subprocess.run(
+        [sys.executable, "-c", _PICKLE_WORD], env=dict(env, PYTHONHASHSEED="0"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert dumped.returncode == 0, dumped.stderr
+    found = subprocess.run(
+        [sys.executable, "-c", _FIND_WORD], env=dict(env, PYTHONHASHSEED="1"),
+        input=dumped.stdout, capture_output=True, text=True, timeout=120,
+    )
+    assert found.returncode == 0, found.stderr
+    assert found.stdout.strip() == "found"
