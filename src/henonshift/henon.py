@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np

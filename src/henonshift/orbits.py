@@ -5,7 +5,7 @@ cosine-parametrized bracketing grid (roots cluster quadratically near the
 interval ends, uniformly in the angle), polished by Newton, and at a = -2
 cross-checked against the exact angle family.  The 2-D branch runs a
 batched damped Newton from grid seeds, accepts candidates in one array
-pass and deduplicates orbits through a KD-tree of their points.  Entropy
+pass and deduplicates orbits over their points sorted by abscissa.  Entropy
 comes from the slope of log Card Fix f^p; equidistribution is tested
 against an analytic or sampled reference law.
 """
@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .henon import HenonMap, _orbit_batch
-from .params import Params
+from .stats import _ks_distance
 
 __all__ = [
     "PeriodicOrbit",
@@ -99,7 +98,9 @@ def fixed_points_1d(a: float, p: int, tol: float = 1e-12) -> np.ndarray:
 
     K = 32 * 2**p + 1
     theta = np.linspace(0.0, np.pi, K)
-    grid = np.clip(beta * np.cos(theta)[::-1], lo, hi)
+    # f^p(x) > x beyond beta, so the extra end point brackets the root beta
+    # whatever sign rounding gives f^p - x at the grid point beta itself
+    grid = np.append(np.clip(beta * np.cos(theta)[::-1], lo, hi), hi)
     vals = _iterate_poly(a, grid, p) - grid
     sign = np.sign(vals)
     # a grid point may sit on a root
@@ -270,6 +271,36 @@ def _default_seed_grid(m: HenonMap, grid: tuple[int, int]) -> np.ndarray:
     return np.column_stack([XX.ravel(), YY.ravel()])
 
 
+def _orbit_representatives(orbs: np.ndarray, radius: float) -> list[int]:
+    """Greedy dedup into orbits with phase alignment.
+
+    orbs is (N, p, 2): the p orbit points of each candidate.  In candidate
+    order, each candidate not yet claimed becomes a representative and
+    claims every candidate with an orbit point within radius (max norm) of
+    one of its own points.  All N p points are sorted once by x; the
+    neighbours of a point lie in a window of that order found by binary
+    search, and each is then tested exactly.
+    """
+    p = orbs.shape[1]
+    pts = orbs.reshape(-1, 2)
+    order = np.argsort(pts[:, 0])
+    xs = pts[order, 0]
+    untaken = np.ones(len(orbs), dtype=bool)
+    reps: list[int] = []
+    while untaken.any():
+        i = int(untaken.argmax())
+        reps.append(i)
+        untaken[i] = False
+        # the window is widened so rounding in x +- radius loses no point
+        lo = np.searchsorted(xs, orbs[i, :, 0] - 2 * radius, side="left")
+        hi = np.searchsorted(xs, orbs[i, :, 0] + 2 * radius, side="right")
+        near = np.concatenate([order[a:b] for a, b in zip(lo, hi)])
+        own = np.repeat(orbs[i], hi - lo, axis=0)
+        hit = np.max(np.abs(pts[near] - own), axis=1) <= radius
+        untaken[near[hit] // p] = False
+    return reps
+
+
 def periodic_orbits_2d(
     m: HenonMap,
     p: int,
@@ -308,20 +339,7 @@ def periodic_orbits_2d(
     keep = np.nonzero(raw[p] <= tol * np.fmax(1.0, nrm[p]))[0]
     cands, orbs = cands[keep], orbs[keep, :p]
 
-    # Greedy dedup into orbits with phase alignment: in seed order, each
-    # candidate not yet claimed becomes a representative and claims every
-    # candidate with an orbit point within 10 tol (max norm) of its orbit.
-    untaken = np.ones(len(cands), dtype=bool)
-    reps: list[int] = []
-    if len(cands):
-        tree = cKDTree(orbs.reshape(-1, 2))
-        while untaken.any():
-            i = int(untaken.argmax())
-            reps.append(i)
-            untaken[i] = False
-            hits = tree.query_ball_point(orbs[i], r=10 * tol, p=np.inf)
-            untaken[np.concatenate(hits).astype(np.intp) // p] = False
-
+    reps = _orbit_representatives(orbs, 10 * tol)
     r = keep[reps]  # the representatives' rows of the chain-rule output
     # least period: the smallest divisor q whose orbit closes within 10 tol
     least = np.full(len(r), p)
@@ -491,10 +509,7 @@ def equidistribution_test(
 
     n = xs.size
     if statistic == "KS":
-        F = np.asarray(cdf(xs), dtype=float)
-        up = np.arange(1, n + 1) / n
-        low = np.arange(0, n) / n
-        dist = float(np.max(np.maximum(np.abs(up - F), np.abs(F - low))))
+        dist = _ks_distance(np.asarray(cdf(xs), dtype=float))
     elif statistic == "cylinder":
         edges = (
             np.asarray(cells, dtype=float)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .markov import LoopCensus
 from .params import Params

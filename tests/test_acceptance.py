@@ -10,7 +10,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from henonshift.henon import HenonMap, lyapunov
 from henonshift.markov import (

@@ -481,3 +481,30 @@ def test_module_entry_point(tmp_path):
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["result"]["entropy"] == pytest.approx(0.4812118250596, abs=1e-9)
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from henonshift.cli import main
+for argv in (
+    ["orbits", "census", "--a", "-1.99", "--b", "1e-6", "--p", "3", "--refine-check"],
+    ["stats", "clt", "--seed", "3", "--sample-n", "20000", "--n", "256", "--trials", "600"],
+    ["stats", "boxdim", "--set", "cantor", "--n", "20000", "--seed", "3"],
+):
+    code = main(argv)
+    assert code == 0, (argv, code)
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test-only dependency: the package, the orbit dedup behind
+    # `orbits census` and the KS test behind `stats clt` run without it
+    src = str(Path(markov.__file__).resolve().parents[1])  # the tree under test
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert r.returncode == 0, r.stderr

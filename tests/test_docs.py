@@ -1,8 +1,10 @@
 """The documented entry points run: the README quick start, the README
-command-line examples and every demo."""
+command-line examples and every demo.  The package sources import nothing
+they do not use."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -73,3 +75,24 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert r.returncode == 0, r.stderr
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_sources_have_no_unused_imports():
+    # __init__.py imports in order to re-export
+    sources = sorted((ROOT / "src" / "henonshift").glob("*.py"))
+    unused = [u for path in sources if path.name != "__init__.py" for u in _unused_imports(path)]
+    assert sources and not unused, unused

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from henonshift import markov
 from henonshift.markov import (
-    ConvergenceError,
     CylinderWord,
     LoopCensus,
     MarkovGraph,

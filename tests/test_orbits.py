@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonshift import orbits
 from henonshift.henon import HenonMap
 from henonshift.orbits import (
     arcsine_cdf,
@@ -73,7 +74,7 @@ def test_oracle_min_gap_survives():
 
 
 def test_census_1d_matches_oracle_exactly():
-    for p in range(1, 11):
+    for p in range(1, 17):
         found = np.sort(fixed_points_1d(-2.0, p))
         want = np.sort(chebyshev_fixed_points(p))
         assert len(found) == len(want)
@@ -116,6 +117,19 @@ def test_census_1d_small_parameter_single_pair():
 def test_census_1d_counts_monotone_in_p():
     counts = [len(fixed_points_1d(-2.0, p)) for p in (1, 2, 3, 4)]
     assert counts == [2, 4, 8, 16]
+
+
+def test_census_1d_closed_forms_keep_the_boundary_fixed_point():
+    # Fix f_a = (1 +- sqrt(1 - 4a))/2 and, for a < -3/4, the 2-cycle
+    # (-1 +- sqrt(-3 - 4a))/2; the boundary point beta = (1 + sqrt(1 - 4a))/2
+    # sits on the end of the bracketing grid
+    for a in np.linspace(-2.0, -1.3, 141):
+        r1, r2 = math.sqrt(1.0 - 4.0 * a), math.sqrt(-3.0 - 4.0 * a)
+        fix = [(1.0 - r1) / 2.0, (1.0 + r1) / 2.0]
+        for p, want in ((1, fix), (2, fix + [(-1.0 - r2) / 2.0, (-1.0 + r2) / 2.0])):
+            roots = fixed_points_1d(float(a), p)
+            assert len(roots) == len(want), (a, p, roots)
+            assert np.max(np.abs(roots - np.sort(want))) <= 1e-12, (a, p)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +304,59 @@ def test_census_2d_dedup_merges_phases_of_one_orbit():
     assert accepted == 4
     assert phased.count_fix == 3 and len(phased.orbits) == 1
     assert np.allclose(phased.orbits[0].representative, pts[1], atol=1e-8)
+
+
+def _kdtree_representatives(orbs, radius):
+    """The greedy dedup through a KD-tree of all candidate orbit points:
+    each representative claims the candidates that own a tree point
+    within radius (max norm) of one of its own points."""
+    from scipy.spatial import cKDTree
+
+    p = orbs.shape[1]
+    untaken = np.ones(len(orbs), dtype=bool)
+    reps = []
+    if len(orbs):
+        tree = cKDTree(orbs.reshape(-1, 2))
+        while untaken.any():
+            i = int(untaken.argmax())
+            reps.append(i)
+            untaken[i] = False
+            hits = tree.query_ball_point(orbs[i], r=radius, p=np.inf)
+            untaken[np.concatenate(hits).astype(np.intp) // p] = False
+    return reps
+
+
+# the custom path calls Python per point, so its twin runs the benchmark's
+# census grid rather than criterion 06's
+@pytest.mark.parametrize(
+    "perturbation,grid", [("classical", (1024, 4)), ("custom", (256, 4))], ids=["classical", "custom"]
+)
+def test_census_2d_dedup_matches_kdtree_reference(perturbation, grid, monkeypatch):
+    pytest.importorskip("scipy.spatial")
+    b = 1e-6
+    m = HenonMap(a=-2.0 + 1e-3, b=b, perturbation="classical")
+    if perturbation == "custom":
+        m = HenonMap(
+            a=m.a,
+            b=b,
+            perturbation="custom",
+            custom_B=lambda x, y: (0.0, b * x),
+            custom_dB=lambda x, y: np.array([[0.0, 0.0], [b, 0.0]]),
+        )
+    dedup = orbits._orbit_representatives
+    calls = []
+
+    def both(orbs, radius):
+        reps = dedup(orbs, radius)
+        assert reps == _kdtree_representatives(orbs, radius)
+        calls.append(len(orbs) - len(reps))
+        return reps
+
+    monkeypatch.setattr(orbits, "_orbit_representatives", both)
+    # the criterion-06 censuses: each grid and its doubled check
+    for p in range(1, 7):
+        assert periodic_orbits_2d(m, p, grid=grid, refine_check=True).stable
+    assert len(calls) == 12 and min(calls) > 0  # every census merged candidates
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonshift import stats
 from henonshift.henon import HenonMap
 from henonshift.markov import build_mme, full_shift_graph, perron, self_loop_graph
 from henonshift.orbits import arcsine_cdf
@@ -212,6 +213,52 @@ def test_clt_requires_enough_trials():
     mu = sample_mme_1d("arcsine", 10_000, seed=14)
     with pytest.raises(ValueError):
         clt_test(F, mu, coordinate(), n=256, trials=100, alpha=0.01)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000, 10000])
+def test_ks_pvalue_matches_scipy(n):
+    sps = pytest.importorskip("scipy.stats")
+    for lam in np.linspace(0.3, 4.0, 38):
+        d = lam / math.sqrt(n)
+        assert stats._ks_pvalue(n, d) == pytest.approx(sps.kstwo.sf(d, n), rel=0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000, 10000])
+def test_normal_ks_matches_scipy_kstest(n):
+    sps = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal(n)
+    lams = []
+    # shifting the sample by c moves sqrt(n) D by about sqrt(n) c / sqrt(2 pi)
+    for lam in np.linspace(0.3, 4.0, 12):
+        sigma = rng.uniform(0.5, 2.0)
+        S = sigma * (base + lam * math.sqrt(2.0 * math.pi / n))
+        d, pval = stats._normal_ks(S, sigma)
+        ref = sps.kstest(S, "norm", args=(0.0, sigma))
+        assert d == pytest.approx(ref.statistic, rel=0, abs=1e-12)
+        assert pval == pytest.approx(ref.pvalue, rel=0, abs=1e-6)
+        lams.append(math.sqrt(n) * d)
+    assert min(lams) < 1.0 and max(lams) > 3.5
+
+
+def test_clt_ks_matches_scipy_kstest(monkeypatch):
+    sps = pytest.importorskip("scipy.stats")
+    normal_ks = stats._normal_ks
+    seen = []
+
+    def spy(S, sigma):
+        seen.append((S.copy(), sigma))
+        return normal_ks(S, sigma)
+
+    monkeypatch.setattr(stats, "_normal_ks", spy)
+    mu = sample_mme_1d("arcsine", 50_000, seed=16)
+    rep = clt_test(F, mu, coordinate(), n=512, trials=600, alpha=0.01, seed=6)
+    (S, sigma), = seen
+    assert sigma == rep.sigma_hat and S.size == rep.trials
+    ref = sps.kstest(S, "norm", args=(0.0, sigma))
+    assert rep.statistic == pytest.approx(ref.statistic, rel=0, abs=1e-12)
+    assert rep.p_value == pytest.approx(ref.pvalue, rel=0, abs=1e-6)
+    assert rep.passed is bool(ref.pvalue >= 0.01)
 
 
 def test_clt_deterministic_in_seed():
