@@ -80,7 +80,6 @@ from .henon import (
     pce_check,
     region_sample_U,
     tangent_cocycle,
-    vertical_cone,
 )
 from .orbits import (
     PeriodicCensus,

@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -70,6 +71,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    leaves: dict[str, argparse.ArgumentParser]  # "<group> <verb>" -> parser
+
     # exit 2 is reserved for analysis failures; argparse would default to 2
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -88,15 +91,14 @@ def _json_default(o):
         return float(o)
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, complex):
-        return {"re": o.real, "im": o.imag}
-    if isinstance(o, float) and (math.isinf(o) or math.isnan(o)):
-        return str(o)
     raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
 def _sanitize(x):
-    """JSON has no inf/nan literals; stringify them."""
+    """JSON has no inf/nan literals or complex numbers: stringify the
+    former, split the latter into {"re", "im"}."""
+    if isinstance(x, complex):
+        return _sanitize({"re": x.real, "im": x.imag})
     if isinstance(x, dict):
         return {k: _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -312,18 +314,7 @@ def _cmd_orbits_census(args) -> int:
         "n_orbits": len(c.orbits),
         "stable": c.stable,
         "tol": c.tol,
-        "orbits": [
-            {
-                "representative": list(o.representative),
-                "least_period": o.least_period,
-                "multipliers": [
-                    {"re": mm.real, "im": mm.imag} for mm in o.multipliers
-                ],
-                "residual": o.residual,
-                "non_hyperbolic": o.non_hyperbolic,
-            }
-            for o in c.orbits
-        ],
+        "orbits": [asdict(o) for o in c.orbits],
     }
     _emit(args, result, csv_rows=_census_csv_rows(c), csv_header=_CENSUS_CSV_HEADER)
     return 0
@@ -336,7 +327,7 @@ def _cmd_orbits_entropy(args) -> int:
         for p in range(args.p_min, args.p_max + 1)
     ]
     est = entropy_from_census(censuses)
-    _emit(args, est.to_dict())
+    _emit(args, asdict(est))
     return 0
 
 
@@ -346,10 +337,8 @@ def _cmd_orbits_equidist(args) -> int:
         points = fixed_points_1d(args.a, args.p, tol=args.tol)
     else:
         points = periodic_orbits_2d(m, args.p, grid=_parse_grid(args.grid), tol=args.tol)
-    if args.reference != "arcsine":
-        raise UsageError("only the arcsine reference is built in")
-    rep = equidistribution_test(points, "arcsine", statistic=args.statistic)
-    _emit(args, rep.to_dict() | {"threshold": args.threshold})
+    rep = equidistribution_test(points, args.reference, statistic=args.statistic)
+    _emit(args, asdict(rep) | {"threshold": args.threshold})
     if args.threshold is not None and rep.distance > args.threshold:
         return 2
     return 0
@@ -374,7 +363,7 @@ def _cmd_stats_mixing(args) -> int:
             else scale * fit.kappa ** (lag - fit.used[0])
         )
         rows.append((lag, v, fitted))
-    _emit(args, fit.to_dict(), csv_rows=rows, csv_header=["lag", "cov", "fit"])
+    _emit(args, asdict(fit), csv_rows=rows, csv_header=["lag", "cov", "fit"])
     return 0
 
 
@@ -388,7 +377,7 @@ def _cmd_stats_clt(args) -> int:
         psi = _observable(args.psi)
     rep = clt_test(m, mu, psi, n=args.n, trials=args.trials, alpha=args.alpha,
                    seed=args.seed)
-    _emit(args, rep.to_dict())
+    _emit(args, asdict(rep))
     if rep.degenerate:
         return 0
     return 0 if rep.passed else 2
@@ -456,7 +445,7 @@ def _cmd_stats_return_decay(args) -> int:
             h_top = -math.log(r.R)
     fit = return_decay_check(chain, census, h_top)
     rows = list(zip(fit.lags, fit.values))
-    _emit(args, fit.to_dict() | {"h_top": h_top},
+    _emit(args, asdict(fit) | {"h_top": h_top},
           csv_rows=rows, csv_header=["n", "tail"])
     return 0 if fit.exponential else 2
 
@@ -483,36 +472,38 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="henonshift", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     top = ap.add_subparsers(dest="group", required=True)
+    ap.leaves = {}
+
+    def verb(sub, command: str, func: Callable) -> _Parser:
+        sp = ap.leaves[command] = sub.add_parser(command.split()[1])
+        sp.set_defaults(func=func, _command=command)
+        return sp
 
     shift = top.add_parser("shift", help="countable Markov shift analyses")
     shift_sub = shift.add_subparsers(dest="verb", required=True)
 
-    sp = shift_sub.add_parser("entropy")
+    sp = verb(shift_sub, "shift entropy", _cmd_shift_entropy)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--tol", type=float, default=1e-13)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_shift_entropy, _command="shift entropy")
 
-    sp = shift_sub.add_parser("mme")
+    sp = verb(shift_sub, "shift mme", _cmd_shift_mme)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--tol", type=float, default=1e-13)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_shift_mme, _command="shift mme")
 
-    sp = shift_sub.add_parser("spr")
+    sp = verb(shift_sub, "shift spr", _cmd_shift_spr)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--horizon", type=int, default=64)
     sp.add_argument("--margin", type=float, default=0.05)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_shift_spr, _command="shift spr")
 
-    sp = shift_sub.add_parser("fix-count")
+    sp = verb(shift_sub, "shift fix-count", _cmd_shift_fix_count)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=int, required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_shift_fix_count, _command="shift fix-count")
 
-    sp = shift_sub.add_parser("equidist")
+    sp = verb(shift_sub, "shift equidist", _cmd_shift_equidist)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--cylinder", required=True,
@@ -520,44 +511,40 @@ def build_parser() -> _Parser:
     sp.add_argument("--threshold", type=float, default=None,
                     help="exit 2 if |empirical - mme| exceeds this")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_shift_equidist, _command="shift equidist")
 
     orbits = top.add_parser("orbits", help="periodic-orbit censuses")
     orbits_sub = orbits.add_subparsers(dest="verb", required=True)
 
-    sp = orbits_sub.add_parser("census")
+    sp = verb(orbits_sub, "orbits census", _cmd_orbits_census)
     _add_map_flags(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--refine-check", action="store_true")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_orbits_census, _command="orbits census")
 
-    sp = orbits_sub.add_parser("entropy")
+    sp = verb(orbits_sub, "orbits entropy", _cmd_orbits_entropy)
     _add_map_flags(sp)
     sp.add_argument("--p-min", type=int, default=1)
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_orbits_entropy, _command="orbits entropy")
 
-    sp = orbits_sub.add_parser("equidist")
+    sp = verb(orbits_sub, "orbits equidist", _cmd_orbits_equidist)
     _add_map_flags(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--reference", default="arcsine")
+    sp.add_argument("--reference", choices=("arcsine",), default="arcsine")
     sp.add_argument("--statistic", choices=("KS", "cylinder"), default="KS")
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--threshold", type=float, default=None)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_orbits_equidist, _command="orbits equidist")
 
     stats = top.add_parser("stats", help="statistical verification")
     stats_sub = stats.add_subparsers(dest="verb", required=True)
 
-    sp = stats_sub.add_parser("mixing")
+    sp = verb(stats_sub, "stats mixing", _cmd_stats_mixing)
     sp.add_argument("--kind", choices=("arcsine", "chain"), default="arcsine")
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, required=True)
@@ -566,9 +553,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--g", default="x", help=_OBSERVABLES)
     sp.add_argument("--h", dest="obs_h", default="x", help=_OBSERVABLES)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_stats_mixing, _command="stats mixing")
 
-    sp = stats_sub.add_parser("clt")
+    sp = verb(stats_sub, "stats clt", _cmd_stats_clt)
     sp.add_argument("--kind", choices=("arcsine", "chain"), default="arcsine")
     sp.add_argument("--sample-n", type=int, default=50_000)
     sp.add_argument("--n", type=int, default=4096)
@@ -578,67 +564,70 @@ def build_parser() -> _Parser:
     sp.add_argument("--a", type=float, default=-2.0)
     sp.add_argument("--psi", default="x", help=_OBSERVABLES + " | coboundary")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_stats_clt, _command="stats clt")
 
-    sp = stats_sub.add_parser("boxdim")
+    sp = verb(stats_sub, "stats boxdim", _cmd_stats_boxdim)
     sp.add_argument("--points", help="CSV file of coordinates")
     sp.add_argument("--set", choices=("segment", "square", "cantor"))
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--scales", help="comma-separated box sizes")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_stats_boxdim, _command="stats boxdim")
 
-    sp = stats_sub.add_parser("return-decay")
+    sp = verb(stats_sub, "stats return-decay", _cmd_stats_return_decay)
     sp.add_argument("--graph", help="Markov graph JSON")
     sp.add_argument("--model", help="suitability-model JSON")
     sp.add_argument("--horizon", type=int, default=120)
     sp.add_argument("--h-top", type=float, default=None)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_stats_return_decay, _command="stats return-decay")
 
     return ap
 
 
-def _apply_config(ap: _Parser, argv: list[str]) -> argparse.Namespace:
-    args = ap.parse_args(argv)
-    if getattr(args, "config", None):
-        cfg = _load_json_file(args.config)
-        if not isinstance(cfg, dict):
-            raise UsageError("--config file must hold a JSON object")
-        unknown = [k for k in cfg if not hasattr(args, k)]
-        if unknown:
-            raise UsageError(f"--config has unknown keys: {', '.join(sorted(unknown))}")
-        # config overrides defaults; explicit flags override config
-        explicit = _explicit_dests(argv)
-        for k, v in cfg.items():
-            if k not in explicit:
-                setattr(args, k, v)
-    return args
+def _config_flags(leaf: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags a --config file of `dest: value` entries stands for:
+    `--flag=value`, or the bare flag for a true store_true entry.  False
+    store_true entries and null entries are left out."""
+    cfg = _load_json_file(path)
+    if not isinstance(cfg, dict):
+        raise UsageError("--config file must hold a JSON object")
+    actions = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(k for k in cfg if k not in actions)
+    if unknown:
+        raise UsageError(f"--config has unknown keys: {', '.join(unknown)}")
+    flags = []
+    for k, v in cfg.items():
+        if v is None:
+            continue
+        flag = actions[k].option_strings[0]
+        if actions[k].nargs != 0:
+            flags.append(f"{flag}={v}")
+        elif not isinstance(v, bool):
+            raise UsageError(f"--config key {k} must be true or false, got {v!r}")
+        elif v:
+            flags.append(flag)
+    return flags
 
 
-def _explicit_dests(argv: list[str]) -> set[str]:
-    """Dests that argv sets itself, however argparse matched the flag: a
-    full name, a unique abbreviation, --flag=value, or a dest unlike it.
-
-    Parses argv again with every default suppressed, so only what the
-    command line sets is left in the namespace.
-    """
-    bare = build_parser()
-    parsers = [bare]
-    for parser in parsers:
-        for action in parser._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return set(vars(bare.parse_args(argv)))
+def _parse_args(ap: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv once, with the --config entries as flags right after
+    `<group> <verb>`: they pass the same type and choices checks as typed
+    flags and may supply required ones, and the command line's own flags
+    win because argparse keeps the last value given."""
+    leaf = ap.leaves.get(" ".join(argv[:2]))
+    if leaf is not None:
+        pre = _Parser(prog=leaf.prog, add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[2:])[0].config
+        if path:
+            argv = argv[:2] + _config_flags(leaf, path) + argv[2:]
+    return ap.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        args = _apply_config(ap, argv)
+        args = _parse_args(ap, argv)
         if getattr(args, "perturbation", "unset") is None:
             args.perturbation = "classical" if args.b != 0.0 else "zero"
         return args.func(args)

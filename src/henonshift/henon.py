@@ -193,10 +193,6 @@ def horizontal_cone(half_angle: float = 0.5) -> ConeField:
     return ConeField((1.0, 0.0), half_angle)
 
 
-def vertical_cone(half_angle: float = 0.5) -> ConeField:
-    return ConeField((0.0, 1.0), half_angle)
-
-
 @dataclass(frozen=True)
 class OrbitSegment:
     points: np.ndarray  # shape (m+1, 2), orbit up to escape
@@ -206,9 +202,6 @@ class OrbitSegment:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def x(self) -> np.ndarray:
-        return self.points[:, 0]
 
 
 def iterate(
@@ -278,10 +271,6 @@ class TangentProduct:
     logdets: np.ndarray
     escaped: bool
     escape_time: int | None
-
-    def growth(self, j: int, k: int) -> float:
-        """log-norm gain between steps j <= k."""
-        return float(self.ell[k] - self.ell[j])
 
 
 def _unit(u: Sequence[float]) -> tuple[float, float]:
@@ -421,16 +410,6 @@ class G4Report:
     pass_fraction: float
     worst_margin: float  # min over samples/k of ell_ns - ell_{ns-k} - k c
 
-    def to_dict(self) -> dict:
-        return {
-            "n_s": self.n_s,
-            "count": self.count,
-            "expansion_pass": int(sum(self.expansion_ok)),
-            "cone_pass": int(sum(self.cone_ok)),
-            "pass_fraction": self.pass_fraction,
-            "worst_margin": self.worst_margin,
-        }
-
 
 def check_expansion_G4(
     m: HenonMap,
@@ -485,15 +464,6 @@ class G6Report:
     bound: float
     ok: bool
     argmax: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_Tf": self.sup_Tf,
-            "sup_T2f": self.sup_T2f,
-            "bound": self.bound,
-            "ok": self.ok,
-            "argmax": list(self.argmax),
-        }
 
 
 def check_G6(

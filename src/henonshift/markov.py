@@ -208,14 +208,6 @@ class LoopCensus:
             for n in range(1, self.horizon + 1)
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "horizon": self.horizon,
-            "Z": list(self.Z),
-            "Zstar": list(self.Zstar),
-        }
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -232,15 +224,6 @@ class SpectralData:
     beta: np.ndarray
     residual: float
     delta: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "residual": self.residual,
-            "delta": self.delta,
-        }
 
 
 @dataclass(frozen=True)
@@ -261,14 +244,6 @@ class MaxEntropyChain:
 
     def pi_of(self, v: str) -> float:
         return float(self.pi[self.index(v)])
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "h_top": self.h_top,
-            "pi": self.pi.tolist(),
-            "p": self.p.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -392,18 +367,6 @@ class SprReport:
     horizon: int
     degenerate: bool
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "spr": self.spr,
-            "R": self.R,
-            "R_star": None if math.isinf(self.R_star) else self.R_star,
-            "gap": None if math.isinf(self.gap) else self.gap,
-            "margin": self.margin,
-            "horizon": self.horizon,
-            "degenerate": self.degenerate,
-            "warnings": list(self.warnings),
-        }
 
 
 def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:

@@ -391,13 +391,6 @@ class EntropyEstimate:
     per_p: tuple[tuple[int, int], ...]
     residual: float  # rms of the linear fit
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "per_p": [list(t) for t in self.per_p],
-            "residual": self.residual,
-        }
-
 
 def entropy_from_census(
     censuses: Sequence[PeriodicCensus | tuple[int, int]],
@@ -453,17 +446,6 @@ class EquidistReport:
     distance: float
     n_points: int
     observables: tuple[tuple[str, float, float], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "distance": self.distance,
-            "n_points": self.n_points,
-            "observables": [
-                {"name": n, "empirical": e, "reference": r}
-                for n, e, r in self.observables
-            ],
-        }
 
 
 def _census_abscissas(census: PeriodicCensus | np.ndarray) -> np.ndarray:
@@ -552,15 +534,6 @@ class ExceptionalBound:
     value: float
     ratio: float      # value / 2^p
     log_ratio: float  # exact in log space even when 2^p overflows
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "M": self.M,
-            "value": self.value,
-            "ratio": self.ratio,
-            "log_ratio": self.log_ratio,
-        }
 
 
 def exceptional_bound(p: int, M: int) -> ExceptionalBound:

@@ -197,7 +197,9 @@ class DecayFit:
     exceeds noise_floor.  When fewer than 2 lags survive, every measured
     covariance is consistent with zero and the fit degenerates: kappa = 0,
     r2 = 1 by convention (decay faster than the sample can resolve).
-    exponential is the verdict kappa < 1.
+    exponential is the verdict kappa < 1; a degenerate covariance fit used
+    no lag and gives no verdict (None), while return_decay_check passes its
+    finite-support tails (True).
     """
 
     lags: tuple[int, ...]
@@ -207,19 +209,7 @@ class DecayFit:
     noise_floor: float
     used: tuple[int, ...]
     degenerate: bool
-    exponential: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lags": list(self.lags),
-            "values": list(self.values),
-            "kappa": self.kappa,
-            "r2": self.r2,
-            "noise_floor": self.noise_floor,
-            "used": list(self.used),
-            "degenerate": self.degenerate,
-            "exponential": self.exponential,
-        }
+    exponential: bool | None
 
 
 def _fit_decay(
@@ -287,7 +277,7 @@ def covariance_decay(
     lags = np.arange(1, n_max + 1)
     vals = np.array(covs)
     kappa, r2, used, degen = _fit_decay(lags, vals, floor)
-    kappa = min(kappa, 1.0) if not degen else kappa
+    kappa = min(kappa, 1.0)
     return DecayFit(
         lags=tuple(int(v) for v in lags),
         values=tuple(float(v) for v in vals),
@@ -296,7 +286,7 @@ def covariance_decay(
         noise_floor=floor,
         used=used,
         degenerate=degen,
-        exponential=bool(kappa < 1.0),
+        exponential=None if degen else bool(kappa < 1.0),
     )
 
 
@@ -412,20 +402,6 @@ class CltReport:
     n: int
     alpha: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "sigma_hat": self.sigma_hat,
-            "static_sd": self.static_sd,
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-            "trials": self.trials,
-            "n": self.n,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
 
 
 def clt_test(

@@ -376,21 +376,6 @@ class CommonSequenceReport:
     depth_order_ok: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "total_order": self.total_order,
-            "condition1": self.condition1,
-            "condition2_ok": self.condition2_ok,
-            "condition2_failures": list(self.condition2_failures),
-            "condition3_ok": self.condition3_ok,
-            "condition3_failures": list(self.condition3_failures),
-            "condition4_ok": self.condition4_ok,
-            "condition4_failures": list(self.condition4_failures),
-            "depth_order_ok": self.depth_order_ok,
-            "passed": self.passed,
-        }
-
 
 def validate_common_sequence(seq: Sequence[Word], params: Params) -> CommonSequenceReport:
     """Check conditions 2-4 of the common-sequence definition.
@@ -799,17 +784,6 @@ class CoveringSum:
     passes_bound: bool
     diverged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "s": self.s,
-            "weight": self.weight,
-            "value": self.value,
-            "lam_bound": self.lam_bound,
-            "passes_bound": self.passes_bound,
-            "diverged": self.diverged,
-        }
-
 
 def covering_sum(
     N: int,
@@ -852,17 +826,6 @@ class DimensionBound:
     weight: str
     N_max: int
     warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "s_star": self.s_star,
-            "certified": self.certified,
-            "factor": self.factor,
-            "weight": self.weight,
-            "N_max": self.N_max,
-            "warning": self.warning,
-        }
 
 
 def dimension_upper_bound(

@@ -125,6 +125,7 @@ def test_covariance_coordinate_degenerate_convention():
     mu = sample_mme_1d("arcsine", 200_000, seed=1)
     fit = covariance_decay(F, mu, coordinate(), coordinate(), n_max=8)
     assert fit.degenerate
+    assert fit.exponential is None
     assert fit.kappa == 0.0
     assert fit.r2 == 1.0
     # every positive lag vanishes up to sampling noise
