@@ -246,6 +246,8 @@ def _cmd_shift_mme(args) -> int:
 
 def _cmd_shift_spr(args) -> int:
     g = _graph(args)
+    if args.horizon < 8:
+        raise UsageError(f"--horizon must be >= 8 for a radius estimate, got {args.horizon}")
     census = count_loops(g, args.horizon)
     report = is_spr(census, margin=args.margin)
     _emit(
@@ -368,6 +370,8 @@ def _cmd_stats_mixing(args) -> int:
 
 
 def _cmd_stats_clt(args) -> int:
+    if args.trials < 500:
+        raise UsageError(f"--trials must be >= 500, got {args.trials}")
     mu = sample_mme_1d(args.kind, args.sample_n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     if args.psi == "coboundary":

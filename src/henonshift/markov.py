@@ -278,34 +278,34 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     """Count loops and first-return loops at the base, exactly.
 
     Z_n via the path-count recursion from the base; Z*_n via the same
-    recursion on paths forbidden to revisit the base before time n.
+    recursion on paths forbidden to revisit the base before time n.  Both
+    advance together as the rows of one (2, n) array, summed over the
+    in-arrows of each vertex.  The array is int64 while no sum can reach
+    2^63 and exact Python ints after that.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    n = graph.n
     b = graph._idx[graph.base]
-    out = _successors(graph)
+    order = np.argsort(graph._dst, kind="stable")
+    src, dst = graph._src[order], graph._dst[order]
+    targets, starts = np.unique(dst, return_index=True)
+    max_in = int(np.diff(starts, append=len(dst)).max(initial=0))
 
-    # Z_n from all paths; Z*_n from paths that avoid the base strictly
-    # between the endpoints, advanced over the same successor lists.
+    # row 0 counts all paths from the base, row 1 those that avoid the base
+    # strictly between the endpoints
+    vec = np.zeros((2, graph.n), dtype=np.int64)
+    vec[:, b] = 1
     Z: list[int] = []
     Zstar: list[int] = []
-    vec = [0] * n
-    vec[b] = 1
-    vstar = vec[:]
     for _ in range(N):
-        nxt = [0] * n
-        nstar = [0] * n
-        for u in range(n):
-            cu, su = vec[u], vstar[u]
-            if cu:
-                for v in out[u]:
-                    nxt[v] += cu
-                    nstar[v] += su
-        Z.append(nxt[b])
-        Zstar.append(nstar[b])
-        nstar[b] = 0  # loops already closed may not continue
-        vec, vstar = nxt, nstar
+        if vec.dtype != object and int(vec.max()) * max_in >= 2**63:
+            vec = vec.astype(object)
+        nxt = np.zeros_like(vec)
+        nxt[:, targets] = np.add.reduceat(vec[:, src], starts, axis=1)
+        Z.append(int(nxt[0, b]))
+        Zstar.append(int(nxt[1, b]))
+        nxt[1, b] = 0  # loops already closed may not continue
+        vec = nxt
 
     return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
 
@@ -471,18 +471,30 @@ def _power_iteration(
     matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iter: int = 500_000
 ) -> tuple[float, np.ndarray, float]:
     """Dominant eigenpair of a nonnegative n x n matrix, given as its
-    product with a vector, by power iteration.
+    product with a vector, by power iteration with Krylov restarts.
 
-    Returns (lambda, v, residual) with v positive and unit 1-norm.
-    Restarts from a perturbed positive vector if the iteration stalls.
+    Returns (lambda, v, residual) with v positive and unit 1-norm.  Every
+    k = min(n, 32) steps the residual must have shrunk tenfold since the
+    last such check; otherwise the iteration restarts from the Ritz vector
+    of a k-step Arnoldi run (_krylov_restart).  Both constants are fixed:
+    - tenfold: a window that gains a decade reaches any tol in a few dozen
+      windows, so plain steps are cheaper than a restart there; graphs with
+      a wide spectral gap never restart and run the plain power steps.
+    - 32: up to 32 vertices the Arnoldi space is the whole space and one
+      restart yields the Perron pair to rounding; above that it caps the
+      restart at 33 n floats and O(32^2 n) Gram-Schmidt work.
+    max_iter bounds every product with the matrix, the restarts' included.
     """
+    k = min(n, 32)
     v = np.full(n, 1.0 / n)
     w = matvec(v)
     lam = 0.0
     residual = math.inf
-    stall = 0
-    last_res = math.inf
-    for it in range(1, max_iter + 1):
+    checked = math.inf  # residual at the last window check
+    it = steps = 0
+    while it < max_iter:
+        it += 1
+        steps += 1
         norm = float(np.abs(w).sum())
         if norm == 0.0:
             raise ValueError("matrix annihilated a positive vector; graph is degenerate")
@@ -494,18 +506,45 @@ def _power_iteration(
         v = v_next
         if residual <= tol * max(1.0, abs(lam)):
             return lam, v, residual
-        # deflation-free restart on stall: nudge with a positive perturbation
-        if residual >= last_res * 0.999999:
-            stall += 1
-            if stall >= 200:
-                v = v + np.linspace(1.0, 2.0, n) * (1.0 / (10.0 * n))
-                v = v / v.sum()
+        if steps == k:
+            if residual > 0.1 * checked:
+                v, used = _krylov_restart(matvec, v, k)
                 w = matvec(v)
-                stall = 0
-        else:
-            stall = 0
-        last_res = residual
+                it += used + 1
+            checked, steps = residual, 0
     raise ConvergenceError(residual, max_iter)
+
+
+def _krylov_restart(
+    matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray, k: int
+) -> tuple[np.ndarray, int]:
+    """Positive restart vector from k Arnoldi steps started at v.
+
+    Gram-Schmidt runs twice per step, and a breakdown (an invariant
+    subspace) ends the run early.  The Ritz vector of the eigenvalue with
+    the largest real part, which for a nonnegative matrix approximates the
+    Perron vector, is returned in absolute value, floored to stay strictly
+    positive.  Also returns the number of products taken.
+    """
+    Q = np.zeros((k + 1, len(v)))
+    H = np.zeros((k + 1, k))
+    Q[0] = v / np.linalg.norm(v)
+    m = k
+    for j in range(k):
+        z = matvec(Q[j])
+        scale = float(np.linalg.norm(z))
+        for _ in range(2):
+            c = Q[: j + 1] @ z
+            z -= c @ Q[: j + 1]
+            H[: j + 1, j] += c
+        H[j + 1, j] = float(np.linalg.norm(z))
+        if H[j + 1, j] <= 1e-12 * scale:
+            m = j + 1
+            break
+        Q[j + 1] = z / H[j + 1, j]
+    vals, vecs = np.linalg.eig(H[:m, :m])
+    ritz = np.abs(vecs[:, int(np.argmax(vals.real))] @ Q[:m])
+    return np.maximum(ritz, np.finfo(float).eps * ritz.max()), m
 
 
 def _matvec(rows: np.ndarray, cols: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -160,6 +160,9 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["shift", "equidist", "--graph", "{golden}", "--p", "8", "--cylinder", "0,zz"],
         ["shift", "equidist", "--graph", "{golden}", "--p", "1", "--cylinder", "0,1"],
         ["shift", "fix-count", "--graph", "{golden}", "--p", "0"],
+        ["shift", "spr", "--graph", "{golden}", "--horizon", "5"],
+        ["shift", "spr", "--graph", "{golden}", "--horizon", "0"],
+        ["stats", "clt", "--seed", "1", "--trials", "100"],
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )

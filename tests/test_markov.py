@@ -141,6 +141,81 @@ def test_count_loops_matches_enumeration_golden():
     assert list(census.Zstar) == Zstar
 
 
+def _count_loops_reference(graph: MarkovGraph, N: int) -> LoopCensus:
+    """The per-vertex Python loop that count_loops replaced: Z and Z*
+    advanced over successor lists in exact Python ints."""
+    idx = {v: i for i, v in enumerate(graph.vertices)}
+    out: list[list[int]] = [[] for _ in graph.vertices]
+    for u, v in sorted(graph.arrows):
+        out[idx[u]].append(idx[v])
+    b = idx[graph.base]
+    Z, Zstar = [], []
+    vec = [0] * graph.n
+    vec[b] = 1
+    vstar = vec[:]
+    for _ in range(N):
+        nxt = [0] * graph.n
+        nstar = [0] * graph.n
+        for u in range(graph.n):
+            if vec[u]:
+                for v in out[u]:
+                    nxt[v] += vec[u]
+                    nstar[v] += vstar[u]
+        Z.append(nxt[b])
+        Zstar.append(nstar[b])
+        nstar[b] = 0
+        vec, vstar = nxt, nstar
+    return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
+
+
+def _random_strong_graph(rng: np.random.Generator) -> MarkovGraph:
+    """A cycle through 3-8 vertices plus up to two random arrows."""
+    k = int(rng.integers(3, 9))
+    names = tuple(f"v{i}" for i in range(k))
+    arrows = {(names[i], names[(i + 1) % k]) for i in range(k)}
+    for _ in range(int(rng.integers(0, 3))):
+        arrows.add((names[int(rng.integers(k))], names[int(rng.integers(k))]))
+    return MarkovGraph(names, frozenset(arrows), names[0])
+
+
+def test_count_loops_equals_python_loop_reference():
+    rng = np.random.default_rng(71)
+    cases = [(renewal_shift(2000), 300), (golden_mean_graph(), 64)]
+    cases += [(_random_strong_graph(rng), 15) for _ in range(50)]
+    # "c" has no in-arrows; the second graph has no arrows at all
+    cases.append((MarkovGraph(("a", "b", "c"),
+                              frozenset({("a", "b"), ("b", "a"), ("c", "a")}), "a"), 20))
+    cases.append((MarkovGraph(("a", "b"), frozenset(), "a"), 5))
+    for g, H in cases:
+        census = count_loops(g, H)
+        assert census == _count_loops_reference(g, H)
+        assert all(type(z) is int for z in census.Z + census.Zstar)
+
+
+def renewal_root(n: int) -> float:
+    """lambda_n: the root in (1, 2] of sum_{k<=n} lambda^-k = 1, by bisection."""
+    lo, hi = 1.0 + 1e-12, 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        x = 1.0 / mid
+        if x * (1.0 - x**n) / (1.0 - x) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [50, 200, 2000])
+def test_renewal_shift_exact_lambda_and_first_returns(n):
+    g = renewal_shift(n)
+    assert abs(perron(g).lam - renewal_root(n)) <= 1e-9
+    H = 300  # Z_H is about lambda_n^H > 2^63, so the census leaves int64
+    census = count_loops(g, H)
+    assert census.Z[-1] > 2**63
+    assert census.Zstar == tuple(int(k <= n) for k in range(1, H + 1))
+    assert all(d == 0 for d in census.renewal_defect())
+
+
 def test_census_validates_zstar_bounded_by_z():
     with pytest.raises(ValueError):
         LoopCensus(base="e", horizon=2, Z=(1, 1), Zstar=(2, 0))
@@ -247,6 +322,101 @@ def test_perron_matches_dense_eigensolver_on_samples():
         spec = perron(_graph_from_matrix(A))
         lam_oracle = max(abs(np.linalg.eigvals(A.astype(float))))
         assert abs(spec.lam - lam_oracle) < 1e-8 * max(1.0, lam_oracle)
+
+
+def _power_iteration_reference(matvec, n, tol, max_iter=500_000):
+    """The power iteration that Krylov restarts replaced: a positive
+    nudge after 200 steps without progress."""
+    v = np.full(n, 1.0 / n)
+    w = matvec(v)
+    lam = 0.0
+    residual = math.inf
+    stall = 0
+    last_res = math.inf
+    for _ in range(max_iter):
+        norm = float(np.abs(w).sum())
+        v_next = w / norm
+        lam = float(v @ w) / float(v @ v)
+        w = matvec(v_next)
+        residual = float(np.max(np.abs(w - lam * v_next)))
+        v = v_next
+        if residual <= tol * max(1.0, abs(lam)):
+            return lam, v, residual
+        if residual >= last_res * 0.999999:
+            stall += 1
+            if stall >= 200:
+                v = v + np.linspace(1.0, 2.0, n) * (1.0 / (10.0 * n))
+                v = v / v.sum()
+                w = matvec(v)
+                stall = 0
+        else:
+            stall = 0
+        last_res = residual
+    raise markov.ConvergenceError(residual, max_iter)
+
+
+def _perron_reference(graph: MarkovGraph, tol: float, monkeypatch) -> markov.SpectralData:
+    with monkeypatch.context() as m:
+        m.setattr(markov, "_power_iteration", _power_iteration_reference)
+        return perron(graph, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_perron_equals_reference_where_no_restart_fires(tol, monkeypatch):
+    graphs = [renewal_shift(n) for n in (50, 200, 2000)]
+    graphs += [full_shift_graph(3), cycle_graph(5)]
+    for g in graphs:
+        got, ref = perron(g, tol=tol), _perron_reference(g, tol, monkeypatch)
+        assert got.lam == ref.lam and got.residual == ref.residual
+        assert np.array_equal(got.alpha, ref.alpha) and np.array_equal(got.beta, ref.beta)
+    # the golden mean's spectral gap is too narrow for its 2-step window: a
+    # restart lands on the exact Perron pair, and lambda moves by one ulp
+    g = golden_mean_graph()
+    got, ref = perron(g, tol=tol), _perron_reference(g, tol, monkeypatch)
+    assert abs(got.lam - ref.lam) <= math.ulp(PHI)
+    exact = np.array([PHI, 1.0]) / (PHI + 1.0)
+    assert np.allclose(got.alpha, exact, rtol=4e-16, atol=0)
+    assert np.allclose(got.beta, exact / (exact @ exact), rtol=4e-16, atol=0)
+    assert got.residual <= 1e-15 < ref.residual
+
+
+def _cycle_with_chord(n: int, c: int) -> MarkovGraph:
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord c -> 0."""
+    vs = tuple(str(i) for i in range(n))
+    arrows = {(vs[i], vs[(i + 1) % n]) for i in range(n)} | {(vs[c], vs[0])}
+    return MarkovGraph(vs, frozenset(arrows), "0")
+
+
+@pytest.mark.parametrize("n, c", [(12, 10), (20, 18), (30, 28), (60, 58), (30, 15)])
+def test_perron_solves_small_gap_graphs(n, c, monkeypatch):
+    # loops of lengths n and c + 1: aperiodic for c = n - 2, period 2 for
+    # (30, 15).  Power iteration alone needs ~2e5 products at n = 30 and
+    # does not converge in 5e5 at n = 60; the restarts need < 5e3.
+    products = []
+    real = markov._matvec
+
+    def counting(rows, cols, size):
+        f = real(rows, cols, size)
+
+        def g(v):
+            products.append(1)
+            return f(v)
+
+        return g
+
+    monkeypatch.setattr(markov, "_matvec", counting)
+    g = _cycle_with_chord(n, c)
+    tol = 1e-13
+    spec = perron(g, tol=tol)
+    assert len(products) <= 10_000
+    lam = max(np.linalg.eigvals(g.adjacency_array()).real)
+    assert abs(spec.lam - lam) <= 1e-12 * lam
+    assert spec.delta == (1.0 if c == 15 else 0.0)
+    assert spec.alpha.min() > 0 and spec.beta.min() > 0
+    assert abs(spec.alpha @ spec.beta - 1.0) <= 1e-14
+    # each side met tol * max(1, lambda) at unit 1-norm; beta was then
+    # scaled by 1 / <alpha, beta>, which is beta's new 1-norm
+    assert spec.residual <= 2 * tol * max(1.0, lam) * spec.beta.sum()
 
 
 def test_perron_handles_periodic_graph():
