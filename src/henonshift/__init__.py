@@ -9,7 +9,7 @@ Five submodules:
   divisibility order, covering sums and dimension upper bounds.
 - henon: the quadratic family with small perturbations, tangent cocycles,
   cone-field and expansion checks, Lyapunov exponents.
-- orbits: periodic-orbit censuses (1-D bisection+Newton and 2-D batched
+- orbits: periodic-orbit censuses (1-D bisection and 2-D batched
   Newton), entropy fits, equidistribution against the arcsine law.
 - stats: samplers for the invariant law, covariance-decay and CLT tests,
   Young's dimension formula, box-counting, return-time decay.

@@ -306,6 +306,8 @@ def _cmd_shift_equidist(args) -> int:
 
 def _cmd_orbits_census(args) -> int:
     m = _map_from_args(args)
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     c = periodic_orbits_2d(
         m, args.p, grid=_parse_grid(args.grid), tol=args.tol,
         refine_check=args.refine_check,
@@ -336,7 +338,10 @@ def _cmd_orbits_entropy(args) -> int:
 def _cmd_orbits_equidist(args) -> int:
     m = _map_from_args(args)
     if args.b == 0.0 and args.perturbation == "zero":
-        points = fixed_points_1d(args.a, args.p, tol=args.tol)
+        try:
+            points = fixed_points_1d(args.a, args.p)
+        except ValueError as e:  # --p or --a outside the 1-D census domain
+            raise UsageError(str(e)) from e
     else:
         points = periodic_orbits_2d(m, args.p, grid=_parse_grid(args.grid), tol=args.tol)
     rep = equidistribution_test(points, args.reference, statistic=args.statistic)
@@ -430,6 +435,10 @@ def _cmd_stats_boxdim(args) -> int:
 def _cmd_stats_return_decay(args) -> int:
     if (args.graph is None) == (args.model is None):
         raise UsageError("exactly one of --graph or --model is required")
+    # a loop census needs one step, a synthetic one two, a radius estimate 8
+    least = 1 if args.graph else 2 if args.h_top is not None else 8
+    if args.horizon < least:
+        raise UsageError(f"--horizon must be >= {least} here, got {args.horizon}")
     if args.graph:
         g = _graph(args)
         census = count_loops(g, args.horizon)
@@ -541,7 +550,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--reference", choices=("arcsine",), default="arcsine")
     sp.add_argument("--statistic", choices=("KS", "cylinder"), default="KS")
     sp.add_argument("--grid", default="256x8")
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="Newton tolerance of the 2-D census; the 1-D census (b = 0) "
+                    "bisects to the end and reads no tolerance")
     sp.add_argument("--threshold", type=float, default=None)
     _add_common(sp)
 

@@ -1,9 +1,10 @@
 """Periodic-orbit censuses and entropy/equidistribution estimates.
 
-The 1-D branch (b = 0) finds all fixed points of the p-th iterate by a
-cosine-parametrized bracketing grid (roots cluster quadratically near the
-interval ends, uniformly in the angle), polished by Newton, and at a = -2
-cross-checked against the exact angle family.  The 2-D branch runs a
+The 1-D branch (b = 0) finds all fixed points of the p-th iterate by
+bisecting the sign changes of a cosine-parametrized grid (roots cluster
+quadratically near the interval ends, uniformly in the angle), refined
+where a tangent root pair hides in one cell, and at a = -2 cross-checked
+against the exact angle family.  The 2-D branch runs a
 batched damped Newton from grid seeds, accepts candidates in one array
 pass and deduplicates orbits over their points sorted by abscissa.  Entropy
 comes from the slope of log Card Fix f^p; equidistribution is tested
@@ -72,28 +73,33 @@ def _iterate_poly(a: float, x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _poly_and_derivative(a: float, x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    d = np.ones_like(x)
-    for _ in range(p):
-        d = d * 2.0 * x
-        x = x * x + a
-    return x, d
+def _sign_changes(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (left, right, value at left) of the sign changes of v on x."""
+    j = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+    return x[j], x[j + 1], v[j]
 
 
-def fixed_points_1d(a: float, p: int, tol: float = 1e-12) -> np.ndarray:
-    """All real roots of f_a^p(x) - x, sorted.
+def fixed_points_1d(a: float, p: int) -> np.ndarray:
+    """All real roots of f_a^p(x) - x, sorted, for -2 <= a.
 
     Brackets sign changes on a cosine grid x = beta cos(theta) (fine enough
-    to separate the quadratically clustered roots near +-beta), bisects,
-    then polishes with Newton using the exact derivative product.  At
-    a = -2 the count must match the angle oracle, otherwise this raises.
+    to separate the quadratically clustered roots near +-beta) and bisects
+    each bracket to the end; a grid point where f^p(x) - x is exactly 0 is
+    a root as it stands.  Above a = 1/4 no point is periodic.  Below
+    a = -2 all 2^p itineraries are realized but the grid misses some, so
+    that domain is refused.  At a = -2 the count must match the angle
+    oracle, otherwise this raises.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
     if p > 16:
         raise ValueError("1-D census capped at p = 16 (degree 2^p)")
-    disc = 1.0 - 4.0 * a
-    beta = (1.0 + math.sqrt(disc)) / 2.0 if disc >= 0 else 2.0
+    if a < -2.0:
+        raise ValueError(f"1-D census needs a >= -2, got a = {a}")
+    if a > 0.25:
+        # f(x) - x = x^2 - x + a > 0 everywhere
+        return np.empty(0)
+    beta = (1.0 + math.sqrt(1.0 - 4.0 * a)) / 2.0
     lo, hi = -beta - 1e-9, beta + 1e-9
 
     K = 32 * 2**p + 1
@@ -103,15 +109,13 @@ def fixed_points_1d(a: float, p: int, tol: float = 1e-12) -> np.ndarray:
     grid = np.append(np.clip(beta * np.cos(theta)[::-1], lo, hi), hi)
     vals = _iterate_poly(a, grid, p) - grid
     sign = np.sign(vals)
-    # a grid point may sit on a root
     exact = grid[vals == 0.0]
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-
-    brackets = [(grid[idx], grid[idx + 1], vals[idx])]
+    brackets = [_sign_changes(grid, vals)]
 
     # Root pairs born at a tangency can share one cell without a sign
-    # change; rescue them by refining cells holding an interior local
-    # minimum of |F| that dips close to zero.
+    # change; rescue them by refining the cells beside an interior local
+    # minimum of |F| that dips close to zero.  Adjacent such cells form one
+    # window, so no two windows overlap and no root is found twice.
     absv = np.abs(vals)
     interior = (
         (absv[1:-1] <= absv[:-2])
@@ -120,18 +124,13 @@ def fixed_points_1d(a: float, p: int, tol: float = 1e-12) -> np.ndarray:
         & (sign[1:-1] == sign[2:])
         & (absv[1:-1] < 1.0)
     )
-    for i in np.nonzero(interior)[0] + 1:
-        sub = np.linspace(grid[i - 1], grid[i + 1], 8193)
-        sv = _iterate_poly(a, sub, p) - sub
-        ss = np.sign(sv)
-        j = np.nonzero(ss[:-1] * ss[1:] < 0)[0]
-        if j.size:
-            brackets.append((sub[j], sub[j + 1], sv[j]))
+    cells = np.r_[interior, False] | np.r_[False, interior]  # beside a minimum
+    # bool diff marks where runs of cells start and stop
+    for s, e in np.flatnonzero(np.diff(cells, prepend=False, append=False)).reshape(-1, 2):
+        sub = np.linspace(grid[s], grid[e], 4096 * (e - s) + 1)
+        brackets.append(_sign_changes(sub, _iterate_poly(a, sub, p) - sub))
 
-    left = np.concatenate([b[0] for b in brackets])
-    right = np.concatenate([b[1] for b in brackets])
-    fleft = np.concatenate([b[2] for b in brackets])
-
+    left, right, fleft = (np.concatenate(b) for b in zip(*brackets))
     # vectorized bisection on all brackets at once
     for _ in range(60):
         mid = 0.5 * (left + right)
@@ -140,45 +139,13 @@ def fixed_points_1d(a: float, p: int, tol: float = 1e-12) -> np.ndarray:
         right = np.where(take, mid, right)
         left = np.where(take, left, mid)
         fleft = np.where(take, fleft, fmid)
-    roots = 0.5 * (left + right)
+    roots = np.sort(np.concatenate([0.5 * (left + right), exact]))
 
-    # Newton polish
-    for _ in range(8):
-        fx, dfx = _poly_and_derivative(a, roots, p)
-        g = fx - roots
-        dg = dfx - 1.0
-        safe = np.abs(dg) > 1e-9
-        step = np.where(safe, g / np.where(safe, dg, 1.0), 0.0)
-        roots = roots - np.clip(step, -1e-3, 1e-3)
-    roots = np.concatenate([roots, exact])
-    roots.sort()
-
-    # Dedup radius stays below the least genuine root separation, which
-    # shrinks like 2^{-3p} near the interval ends (1e-11 already at
-    # p = 14); bisection localizes far more finely than that.
-    radius = min(tol, 1e-13)
-    if roots.size:
-        keep = [roots[0]]
-        for v in roots[1:]:
-            if v - keep[-1] > radius:
-                keep.append(v)
-        roots = np.array(keep)
-
-    # Residual acceptance must scale with the local derivative: float
-    # noise in f^p near a root is amplified by |(f^p)'|, so an absolute
-    # cutoff would discard strongly expanding true roots.
-    fx, dfx = _poly_and_derivative(a, roots, p)
-    resid = np.abs(fx - roots)
-    scale = np.maximum(1.0, np.abs(dfx - 1.0))
-    roots = roots[resid <= max(100 * tol, 1e-10) * scale]
-
-    if a == -2.0:
-        expected = 2**p
-        if roots.size != expected:
-            raise RuntimeError(
-                f"root census found {roots.size} points at a=-2, p={p}; "
-                f"angle oracle expects {expected}"
-            )
+    if a == -2.0 and roots.size != 2**p:
+        raise RuntimeError(
+            f"root census found {roots.size} points at a=-2, p={p}; "
+            f"angle oracle expects {2**p}"
+        )
     return roots
 
 

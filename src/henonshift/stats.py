@@ -113,9 +113,9 @@ def sample_mme_1d(kind: str, n: int, seed: int) -> EmpiricalMeasure:
         p = np.array(chain.p)
         if not np.allclose(p, 0.5, atol=1e-12):
             raise AssertionError("full 2-shift chain must be uniform Bernoulli")
-        # 53 bits saturate double precision of the binary angle
-        bits = rng.integers(0, 2, size=(n, 53))
-        angle = bits @ (2.0 ** -np.arange(1, 54))
+        # 53 fair bits saturate double precision of the binary angle; one
+        # integer in [0, 2^53) is the same law, and k 2^-53 is exact
+        angle = rng.integers(0, 2**53, size=n) * 2.0**-53
         return EmpiricalMeasure(
             2.0 * np.cos(2.0 * np.pi * angle), np.full(n, 1.0 / n), "chain-simulation"
         )

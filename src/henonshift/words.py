@@ -524,23 +524,12 @@ class _CodedWords:
                 )
             result = self.divides(self.encode(spelled), b, spelling)
 
-        if not result:
-            la, lb = len(a), len(b)
-            for k in range(0, min(la, lb) + 1):
-                if k and a[la - k] != b[lb - k]:
-                    break
-                b2 = b[: lb - k]
-                # a3 and a1 both empty (m = k = 0) would not decrease the order
-                for m in range(0 if k else 1, la - k + 1):
-                    a2 = a[m : la - k]
-                    held = relation.get((a2, b2))  # most subproblems are known
-                    if held is None:
-                        held = self.divides(a2, b2, spelling)
-                    if held:
-                        result = True
-                        break
-                if result:
-                    break
+        # D3 one symbol at a time: every splitting a = a3 a2 a1, b = b2 a1
+        # is a chain of these two moves, and each move is itself one.
+        if not result and a and a[-1] == b[-1]:
+            result = self.divides(a[:-1], b[:-1], spelling)
+        if not result and a:
+            result = self.divides(a[1:], b, spelling)
 
         relation[key] = result
         return result

@@ -140,6 +140,7 @@ _BAD_DOCS = {
     "undeclared": {"vertices": ["0", "1"], "base": "0", "arrows": [["0", "1"], ["1", "2"]]},
     "model_bad_m": {"M": "x"},
     "model_bad_name": {"M": 60, "model": "nope"},
+    "model_ok": {"M": 60},
 }
 _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "--scales"]
 
@@ -163,6 +164,12 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["shift", "spr", "--graph", "{golden}", "--horizon", "5"],
         ["shift", "spr", "--graph", "{golden}", "--horizon", "0"],
         ["stats", "clt", "--seed", "1", "--trials", "100"],
+        ["stats", "return-decay", "--model", "{model_ok}", "--horizon", "5"],
+        ["stats", "return-decay", "--model", "{model_ok}", "--h-top", "0.5", "--horizon", "1"],
+        ["stats", "return-decay", "--graph", "{golden}", "--horizon", "0"],
+        ["orbits", "equidist", "--a", "-2", "--p", "17"],
+        ["orbits", "census", "--a", "-2", "--p", "0"],
+        ["orbits", "equidist", "--a", "-3", "--p", "10"],
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )

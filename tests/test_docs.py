@@ -1,6 +1,6 @@
 """The documented entry points run: the README quick start, the README
 command-line examples and every demo.  The package sources import nothing
-they do not use."""
+they do not use, and every private helper they define is used."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,32 @@ def test_package_sources_have_no_unused_imports():
     sources = sorted((ROOT / "src" / "henonshift").glob("*.py"))
     unused = [u for path in sources if path.name != "__init__.py" for u in _unused_imports(path)]
     assert sources and not unused, unused
+
+
+def _name_uses(tree: ast.AST) -> Counter:
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            uses.update(alias.name for alias in node.names)
+    return uses
+
+
+def test_private_helpers_are_used():
+    # a module-level _function or _Class must be referenced somewhere in the
+    # package outside its own definition, or it is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "henonshift").glob("*.py"))}
+    total = sum((_name_uses(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and total[node.name] <= _name_uses(node)[node.name]
+    ]
+    assert trees and not dead, dead

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_oracle_min_gap_survives():
 
 
 # ---------------------------------------------------------------------------
-# bracketing + Newton census on the line
+# bracketing + bisection census on the line
 
 
 def test_census_1d_matches_oracle_exactly():
@@ -130,6 +131,111 @@ def test_census_1d_closed_forms_keep_the_boundary_fixed_point():
             roots = fixed_points_1d(float(a), p)
             assert len(roots) == len(want), (a, p, roots)
             assert np.max(np.abs(roots - np.sort(want))) <= 1e-12, (a, p)
+
+
+def _fixed_points_1d_reference(a, p, tol=1e-12):
+    """The 1-D census with 8 clipped Newton steps after the bisection, a
+    dedup radius of min(tol, 1e-13) and a derivative-scaled residual
+    filter, and with overlapping 8,193-point rescue windows."""
+
+    def poly_and_derivative(x):
+        d = np.ones_like(x)
+        for _ in range(p):
+            d = d * 2.0 * x
+            x = x * x + a
+        return x, d
+
+    def F(x):
+        return poly_and_derivative(x)[0] - x
+
+    disc = 1.0 - 4.0 * a
+    beta = (1.0 + math.sqrt(disc)) / 2.0 if disc >= 0 else 2.0
+    lo, hi = -beta - 1e-9, beta + 1e-9
+    theta = np.linspace(0.0, np.pi, 32 * 2**p + 1)
+    grid = np.append(np.clip(beta * np.cos(theta)[::-1], lo, hi), hi)
+    vals = F(grid)
+    sign = np.sign(vals)
+    exact = grid[vals == 0.0]
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    brackets = [(grid[idx], grid[idx + 1], vals[idx])]
+    absv = np.abs(vals)
+    interior = (
+        (absv[1:-1] <= absv[:-2])
+        & (absv[1:-1] <= absv[2:])
+        & (sign[:-2] == sign[1:-1])
+        & (sign[1:-1] == sign[2:])
+        & (absv[1:-1] < 1.0)
+    )
+    for i in np.nonzero(interior)[0] + 1:
+        sub = np.linspace(grid[i - 1], grid[i + 1], 8193)
+        sv = F(sub)
+        ss = np.sign(sv)
+        j = np.nonzero(ss[:-1] * ss[1:] < 0)[0]
+        if j.size:
+            brackets.append((sub[j], sub[j + 1], sv[j]))
+    left, right, fleft = (np.concatenate(b) for b in zip(*brackets))
+    for _ in range(60):
+        mid = 0.5 * (left + right)
+        fmid = F(mid)
+        take = fleft * fmid <= 0
+        right = np.where(take, mid, right)
+        left = np.where(take, left, mid)
+        fleft = np.where(take, fleft, fmid)
+    roots = 0.5 * (left + right)
+    for _ in range(8):
+        fx, dfx = poly_and_derivative(roots)
+        dg = dfx - 1.0
+        safe = np.abs(dg) > 1e-9
+        step = np.where(safe, (fx - roots) / np.where(safe, dg, 1.0), 0.0)
+        roots = roots - np.clip(step, -1e-3, 1e-3)
+    roots = np.sort(np.concatenate([roots, exact]))
+    keep = roots[:1].tolist()
+    for v in roots[1:]:
+        if v - keep[-1] > min(tol, 1e-13):
+            keep.append(v)
+    roots = np.array(keep)
+    fx, dfx = poly_and_derivative(roots)
+    scale = np.maximum(1.0, np.abs(dfx - 1.0))
+    return roots[np.abs(fx - roots) <= max(100 * tol, 1e-10) * scale]
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_census_1d_bisection_matches_polished_reference(p):
+    # bisection alone, on disjoint brackets, gives the counts of the census
+    # with Newton polish, dedup and residual filter, and moves no root by
+    # more than 1e-8 (the largest moves sit at tangent pairs)
+    for a in list(np.linspace(-2.0, -1.3, 30)) + [-1.75, -1.7549, -1.768]:
+        roots = fixed_points_1d(float(a), p)
+        want = _fixed_points_1d_reference(float(a), p)
+        assert roots.size == want.size, (a, p)
+        assert np.max(np.abs(roots - want)) <= 1e-8, (a, p)
+        assert np.all(np.diff(roots) > 0), (a, p)
+
+
+def test_census_1d_adjacent_rescue_windows_merge():
+    # at a = 1/4 the double root 1/2 leaves adjacent interior minima of
+    # |f^11(x) - x|; their cells form one window, counted once
+    roots = fixed_points_1d(0.25, 11)
+    want = _fixed_points_1d_reference(0.25, 11)
+    assert roots.size == want.size
+    assert np.max(np.abs(roots - want)) <= 1e-8
+
+
+def test_census_1d_empty_above_one_quarter():
+    # f(x) - x = x^2 - x + a > 0 for a > 1/4: no periodic point, and no
+    # grid iterated to overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, p in ((0.3, 10), (1.0, 1), (5.0, 16)):
+            assert fixed_points_1d(a, p).size == 0
+
+
+@pytest.mark.parametrize("a, p", [(-2.001, 14), (-3.0, 10), (-2.0000001, 1)])
+def test_census_1d_refuses_below_minus_two(a, p):
+    # all 2^p itineraries are realized there, but the grid on [-beta, beta]
+    # misses some of them, so the census refuses rather than undercounts
+    with pytest.raises(ValueError, match="a >= -2"):
+        fixed_points_1d(a, p)
 
 
 # ---------------------------------------------------------------------------
