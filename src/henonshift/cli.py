@@ -184,9 +184,12 @@ def _map_from_args(args) -> HenonMap:
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         nx, ny = text.lower().split("x")
-        return (int(nx), int(ny))
+        grid = (int(nx), int(ny))
     except Exception as e:
         raise UsageError(f"--grid expects NXxNY, got {text!r}") from e
+    if min(grid) < 1:
+        raise UsageError(f"--grid sizes must be >= 1, got {text!r}")
+    return grid
 
 
 _OBSERVABLES = "x | cheb:k | bump:center,width | ind:lo,hi,ramp"
@@ -326,6 +329,11 @@ def _cmd_orbits_census(args) -> int:
 
 def _cmd_orbits_entropy(args) -> int:
     m = _map_from_args(args)
+    if args.p_min < 1:
+        raise UsageError(f"--p-min must be >= 1, got {args.p_min}")
+    if args.p_max < args.p_min + 2:
+        raise UsageError(
+            f"--p-max must be >= --p-min + 2 (the fit needs 3 periods), got {args.p_max}")
     censuses = [
         periodic_orbits_2d(m, p, grid=_parse_grid(args.grid), tol=args.tol)
         for p in range(args.p_min, args.p_max + 1)
@@ -337,6 +345,8 @@ def _cmd_orbits_entropy(args) -> int:
 
 def _cmd_orbits_equidist(args) -> int:
     m = _map_from_args(args)
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     if args.b == 0.0 and args.perturbation == "zero":
         try:
             points = fixed_points_1d(args.a, args.p)
@@ -356,6 +366,8 @@ def _cmd_orbits_equidist(args) -> int:
 
 
 def _cmd_stats_mixing(args) -> int:
+    if args.n < 1 or args.n_max < 1:
+        raise UsageError(f"--n and --n-max must be >= 1, got {args.n} and {args.n_max}")
     mu = sample_mme_1d(args.kind, args.n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     fit = covariance_decay(m, mu, _observable(args.g), _observable(args.obs_h), args.n_max)
@@ -377,6 +389,8 @@ def _cmd_stats_mixing(args) -> int:
 def _cmd_stats_clt(args) -> int:
     if args.trials < 500:
         raise UsageError(f"--trials must be >= 500, got {args.trials}")
+    if args.n < 1 or args.sample_n < 1:
+        raise UsageError(f"--n and --sample-n must be >= 1, got {args.n} and {args.sample_n}")
     mu = sample_mme_1d(args.kind, args.sample_n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     if args.psi == "coboundary":
@@ -408,6 +422,8 @@ def _cmd_stats_boxdim(args) -> int:
                  "cantor": cantor_sample}.get(args.set)
         if maker is None:
             raise UsageError(f"unknown --set {args.set!r}")
+        if args.n < 1:
+            raise UsageError(f"--n must be >= 1, got {args.n}")
         pts = maker(args.n, args.seed)
     if args.scales:
         try:

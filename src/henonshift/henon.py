@@ -281,9 +281,41 @@ def _unit(u: Sequence[float]) -> tuple[float, float]:
     return ux / norm, uy / norm
 
 
-# Steps per jac call in the tangent recurrence: it bounds the memory that
-# lyapunov holds at any time, whatever the horizon.
-_BLOCK = 1024
+# Steps per Jacobian evaluation in the tangent recurrence: it bounds the
+# memory that lyapunov holds at any time, whatever the horizon, and each
+# block's prefix products take log2(_BLOCK) doubling levels.
+_BLOCK = 4096
+_LN2 = math.log(2.0)
+
+
+def _pow2_exponents(P: np.ndarray) -> np.ndarray:
+    """Per matrix P[:, :, k], the k with largest |entry| / 2^k in [1/2, 1)
+    (0 for a zero matrix)."""
+    return np.frexp(np.abs(P).max(axis=(0, 1)))[1]
+
+
+def _prefix_products(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix product of the 2x2 matrices J[:, :, i] of a (2, 2, L)
+    array J.
+
+    Returns S and integer exponents e with J_k ... J_0 = 2^e[k] S[:, :, k].
+    A Hillis-Steele scan: after the level with shift s, S[:, :, k] is the
+    product of J_{k-2s+1} .. J_k (clipped at 0), formed as the product
+    ending at k times the one ending at k - s.  Each level divides its new
+    products by powers of two, which is exact, so none overflows or
+    underflows whatever the length.
+    """
+    k = _pow2_exponents(J)
+    S, e = np.ldexp(J, -k), k.astype(np.int64)
+    s = 1
+    while s < S.shape[2]:
+        A, B = S[:, :, s:], S[:, :, :-s]
+        P = A[:, 0:1] * B[0] + A[:, 1:2] * B[1]  # A @ B, matrix by matrix
+        k = _pow2_exponents(P)
+        S[:, :, s:] = np.ldexp(P, -k)
+        e[s:] = e[s:] + e[:-s] + k
+        s *= 2
+    return S, e
 
 
 def _tangent_blocks(
@@ -292,16 +324,21 @@ def _tangent_blocks(
     u: tuple[float, float],
     n: int,
     escape_radius: float,
-) -> Iterator[tuple[array, np.ndarray, np.ndarray, bool]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
     """The tangent recurrence from the unit vector u, up to n steps.
 
-    Walks the orbit with the scalar map, takes each block's Jacobians from
-    one jac call and yields, per block, the ladder values ell, the unit
-    image directions, the log |det Tf| of its steps and whether the orbit
-    escaped at its last step.  A vector that falls into an exact kernel
-    stays the zero vector while the orbit walk goes on: from that step on
-    ell is -inf and no direction is yielded.
+    Walks the orbit with the scalar map, one block of at most _BLOCK steps
+    at a time, and evaluates the block's Jacobians J[0..L-1] at once.  The
+    prefix products Tf^k = J[k-1] ... J[0] then give the images Tf^k u of
+    the carried unit vector u for the whole block in a few array
+    operations.
+    Yields, per block, the ladder values ell, the unit image directions,
+    the log |det Tf| of its steps and whether the orbit escaped at its
+    last step.  A vector that falls into an exact kernel stays the zero
+    vector while the orbit walk goes on: from that step on ell is -inf and
+    the direction nan.
     """
+    apply = m.apply
     x, y = float(point[0]), float(point[1])
     ux, uy = u
     s = 0.0
@@ -314,30 +351,31 @@ def _tangent_blocks(
         for _ in range(min(_BLOCK, n - k)):
             xs.append(x)
             ys.append(y)
-            x, y = m.apply(x, y)
+            x, y = apply(x, y)
             if abs(x) > escape_radius or abs(y) > escape_radius:
                 escaped = True
                 break
-        J = m.jac(np.array([xs, ys]).T)
-        with np.errstate(divide="ignore"):
-            logdets = np.log(np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]))
-        ell, dx, dy = array("d"), array("d"), array("d")
-        entries = iter(array("d", J.tobytes()))
-        for j00, j01, j10, j11 in zip(entries, entries, entries, entries):
-            vx = j00 * ux + j01 * uy
-            vy = j10 * ux + j11 * uy
-            vnorm = math.hypot(vx, vy)
-            if vnorm == 0.0:
-                ux = uy = 0.0
-                break
-            s += math.log(vnorm)
-            ux, uy = vx / vnorm, vy / vnorm
-            ell.append(s)
-            dx.append(ux)
-            dy.append(uy)
-        ell.extend([-math.inf] * (len(xs) - len(ell)))
+        J = np.empty((2, 2, len(xs)))
+        (J[0, 0], J[0, 1]), (J[1, 0], J[1, 1]) = m._jac_entries(
+            np.frombuffer(xs), np.frombuffer(ys)
+        )
+        S, e = _prefix_products(J)
+        v = S[:, 0] * ux + S[:, 1] * uy  # Tf^k u / 2^e, as (2, L)
+        norm = np.hypot(v[0], v[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logdets = np.log(np.abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]))
+            ell = s + (np.log(norm) + e * _LN2)
+            dirs = (v / norm).T
+        dead = np.flatnonzero(norm == 0.0)
+        if dead.size:
+            ell[dead[0] :] = -math.inf
+            dirs[dead[0] :] = math.nan
+            ux = uy = 0.0
+        else:
+            s = float(ell[-1])
+            ux, uy = dirs[-1]
         k += len(xs)
-        yield ell, np.array([dx, dy]).T, logdets, escaped
+        yield ell, dirs, logdets, escaped
         if escaped:
             return
 
@@ -367,7 +405,7 @@ def tangent_cocycle(
     escaped = False
     for e, d, ld, escaped in _tangent_blocks(m, point, u, n, escape_radius):
         ell[k + 1 : k + 1 + len(e)] = e
-        dirs[k + 1 : k + 1 + len(d)] = d
+        dirs[k + 1 : k + 1 + len(e)] = d
         logdets[k : k + len(ld)] = ld
         k += len(e)
     if escaped:
@@ -549,7 +587,7 @@ def lyapunov(
         k += len(e)
         if escaped:
             raise RuntimeError(f"orbit escaped at step {k}")
-        ell = e[-1]
+        ell = float(e[-1])
         logdet += float(ld.sum())
     lam1 = ell / n
     return lam1, logdet / n - lam1

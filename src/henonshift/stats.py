@@ -494,16 +494,26 @@ def young_dimension(h: float, lambda1: float, lambda2: float) -> float:
     return h * (1.0 / lambda1 - inv2)
 
 
+def _dense_rank(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each entry of v among the distinct values of v, and the
+    number of distinct values."""
+    distinct, rank = np.unique(v, return_inverse=True)
+    return rank, len(distinct)
+
+
 def box_count_table(
     points: np.ndarray, scales: Sequence[float]
 ) -> list[tuple[float, int]]:
     """Occupied-box counts N(eps) per scale.
 
-    A point p lies in the box floor(p / eps).  Each scale sorts the box
-    indices of all points with one lexicographic sort; the count is 1 plus
-    the number of adjacent sorted rows that differ.  Points must be an
-    (n,) or (n, d) array of finite values, scales finite and positive, and
-    every p / eps finite: a value box counting cannot place is an error.
+    A point p lies in the box floor(p / eps).  Each scale gives every point
+    one int64 key, its box's column offsets floor(p / eps) - min in mixed
+    radix, sorts the keys and counts 1 plus the adjacent sorted keys that
+    differ.  A column, or a partial key, too wide for the int64 range is
+    first replaced by its dense rank, which keeps the order and the
+    distinct values.  Points must be an (n,) or (n, d) array of finite
+    values, scales finite and positive, and every p / eps finite: a value
+    box counting cannot place is an error.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -517,13 +527,24 @@ def box_count_table(
         raise ValueError("scales must be finite and positive")
     out = []
     for eps in scales:
-        with np.errstate(over="ignore"):
-            boxes = np.floor(pts / eps)
-        if not np.isfinite(boxes).all():
-            raise ValueError(f"points / eps overflows at eps = {eps!r}")
-        boxes = boxes[np.lexsort(boxes.T)]
-        changes = np.count_nonzero((boxes[1:] != boxes[:-1]).any(axis=1))
-        out.append((eps, min(len(boxes), 1) + int(changes)))
+        key, width = 0, 1  # every key lies in [0, width)
+        for col in pts.T:
+            with np.errstate(over="ignore"):
+                box = np.floor(col / eps)
+            lo, hi = (float(box.min()), float(box.max())) if len(box) else (0.0, 0.0)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"points / eps overflows at eps = {eps!r}")
+            if -(2.0**62) <= lo and hi < 2.0**62:  # box - lo is exact in int64
+                off, radix = box.astype(np.int64) - int(lo), int(hi) - int(lo) + 1
+            else:
+                off, radix = _dense_rank(box)
+            if width * radix > 2**63:
+                key, width = _dense_rank(key)
+            if width * radix > 2**63:
+                off, radix = _dense_rank(off)
+            key, width = key * radix + off, width * radix
+        key = np.sort(key)
+        out.append((eps, min(len(key), 1) + int(np.count_nonzero(key[1:] != key[:-1]))))
     return out
 
 

@@ -170,6 +170,16 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["orbits", "equidist", "--a", "-2", "--p", "17"],
         ["orbits", "census", "--a", "-2", "--p", "0"],
         ["orbits", "equidist", "--a", "-3", "--p", "10"],
+        ["orbits", "equidist", "--a", "-1.9", "--b", "0.01", "--p", "0"],
+        ["orbits", "entropy", "--a", "-2", "--p-min", "0", "--p-max", "3"],
+        ["orbits", "entropy", "--a", "-2", "--p-min", "4", "--p-max", "3"],
+        ["orbits", "entropy", "--a", "-2", "--p-min", "2", "--p-max", "3"],
+        ["stats", "mixing", "--seed", "1", "--n", "0"],
+        ["stats", "mixing", "--seed", "1", "--n-max", "0"],
+        ["stats", "boxdim", "--set", "cantor", "--seed", "1", "--n", "0"],
+        ["stats", "clt", "--seed", "1", "--n", "0"],
+        ["stats", "clt", "--seed", "1", "--sample-n", "0"],
+        ["orbits", "census", "--a", "-2", "--p", "2", "--grid", "0x4"],
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )

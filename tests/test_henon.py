@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henonshift.henon import (
+    _BLOCK,
     ConeField,
     HenonMap,
     check_G6,
@@ -311,6 +312,75 @@ def test_tangent_cocycle_reports_escape_after_a_kernel():
     assert tp.escaped and tp.escape_time == 2 and tp.n == 2
     assert len(tp.ell) == 3 and len(tp.logdets) == 2
     assert tp.logdets[1] == pytest.approx(math.log(0.3))
+
+
+def _reference_cocycle(m, point, u, n, escape_radius=10.0):
+    """The scalar tangent recurrence, one Jacobian and one renormalisation
+    per step: (ell, directions, logdets, escape_time) as tangent_cocycle
+    defines them."""
+    x, y = float(point[0]), float(point[1])
+    ux, uy = np.array(u, dtype=float) / math.hypot(*u)
+    s = 0.0
+    ell, dirs, logdets = [0.0], [(ux, uy)], []
+    for k in range(1, n + 1):
+        (j00, j01), (j10, j11) = m.jacobian(x, y)
+        det = abs(j00 * j11 - j01 * j10)
+        logdets.append(math.log(det) if det else -math.inf)
+        vx, vy = j00 * ux + j01 * uy, j10 * ux + j11 * uy
+        vnorm = math.hypot(vx, vy)
+        if vnorm == 0.0:  # an exact kernel: the vector stays zero
+            ux = uy = 0.0
+            ell.append(-math.inf)
+            dirs.append((math.nan, math.nan))
+        else:
+            s += math.log(vnorm)
+            ux, uy = vx / vnorm, vy / vnorm
+            ell.append(s)
+            dirs.append((ux, uy))
+        x, y = m.apply(x, y)
+        if abs(x) > escape_radius or abs(y) > escape_radius:
+            return np.array(ell), np.array(dirs), np.array(logdets), k
+    return np.array(ell), np.array(dirs), np.array(logdets), None
+
+
+_CLASSICAL = HenonMap(a=-1.4, b=0.3, perturbation="classical")
+_COCYCLE_CASES = {
+    "zero": (HenonMap(a=-2.0), (0.13817, 0.0), (0.6, 0.8)),
+    "zero_kernel_u": (HenonMap(a=-2.0), (0.3, 0.0), (1.0, -0.6)),
+    "zero_escapes": (HenonMap(a=-2.0), (2.0001, 0.0), (0.6, 0.8)),
+    "classical": (_CLASSICAL, (0.1, 0.05), (0.6, 0.8)),
+    "classical_small_b": (
+        HenonMap(a=-1.9, b=1e-3, perturbation="classical"), (0.2, 0.0), (1.0, 0.0)
+    ),
+    "custom_twin": (_classical_twin(_CLASSICAL), (0.1, 0.05), (0.6, 0.8)),
+    "square_kernel": (_square_kernel_map(-1.4), (0.1, 0.0), (0.6, 0.8)),
+    "square_kernel_u": (_square_kernel_map(-1.4), (0.0, 0.0), (1.0, 0.0)),
+    "square_escapes": (_square_kernel_map(3.0), (0.0, 0.0), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 20, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("case", sorted(_COCYCLE_CASES))
+def test_tangent_cocycle_matches_the_scalar_recurrence(case, n):
+    # block seams and a partial last block; the prefix products reorder the
+    # arithmetic, so the ladder (a log) and the unit directions agree to a
+    # few hundred ulps, while the logdets and every exact event are equal
+    m, point, u = _COCYCLE_CASES[case]
+    ell, dirs, logdets, escape_time = _reference_cocycle(m, point, u, n)
+    tp = tangent_cocycle(m, point, u, n)
+    assert (tp.escaped, tp.escape_time) == (escape_time is not None, escape_time)
+    assert tp.n == (n if escape_time is None else escape_time)
+    assert np.array_equal(tp.ell == -math.inf, ell == -math.inf)
+    assert np.array_equal(np.isnan(tp.directions), np.isnan(dirs))
+    np.testing.assert_allclose(tp.ell, ell, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tp.directions, dirs, rtol=0.0, atol=1e-12)
+    assert np.array_equal(tp.logdets, logdets)
+
+
+def test_lyapunov_returns_python_floats():
+    for m in (HenonMap(a=-2.0), _CLASSICAL):
+        l1, l2 = lyapunov(m, (0.1, 0.0), _BLOCK + 5)
+        assert type(l1) is float and type(l2) is float
 
 
 def test_most_contracted_direction_is_kernel_at_b_zero():

@@ -341,6 +341,15 @@ def _reference_box_count(pts, eps):
     return len(np.unique(np.floor(np.asarray(pts, dtype=float) / eps), axis=0))
 
 
+def _wide_sample(seed, d, far_scale):
+    """A unit cluster, far points times far_scale and repeated rows: at
+    eps = 1e-4 the box indices of every column span more than 2^32."""
+    rng = np.random.default_rng(seed)
+    near = rng.normal(size=(1500, d))
+    far = rng.normal(size=(500, d)) * far_scale
+    return np.concatenate([near, far, near[:100], far[:100]])
+
+
 @pytest.mark.parametrize(
     "pts",
     [
@@ -352,8 +361,26 @@ def _reference_box_count(pts, eps):
         cantor_sample(3000, seed=36),
         np.empty((0, 2)),
         np.array([[-0.25, 0.75]]),
+        # wider than int64 in mixed radix: the partial key is ranked first
+        _wide_sample(37, 2, 1e6),
+        _wide_sample(38, 3, 1e6),
+        # box indices up to 1e28, past int64: the columns are ranked too
+        _wide_sample(39, 3, 10.0 ** np.random.default_rng(40).integers(0, 25, size=(500, 3))),
+        # at eps = 1 the radices are 2^61 + 1 and 8: unless the partial key
+        # is ranked, the key 2^61 * 8 wraps to 0 and merges two boxes
+        np.array([[0.0, 0.0], [2.0**61, 0.0]] + [[0.0, float(j)] for j in range(1, 8)]),
+        # radices 4 and R = 2^62 + 1537228672809129217: 4 R passes 2^63 even
+        # after ranking the first column, and 3 R + 253 = 2^64 would merge
+        # the last two rows unless the second column is ranked too
+        np.array([
+            [0.0, -(2.0**62)], [1.0, 1537228672809129216.0], [2.0, 0.0],
+            [3.0, 1000.0], [0.0, 747.0],
+        ]),
     ],
-    ids=["1d", "n_by_1", "2d_negative", "3d", "repeated", "cantor", "empty", "single"],
+    ids=[
+        "1d", "n_by_1", "2d_negative", "3d", "repeated", "cantor", "empty", "single",
+        "wide_2d", "wide_3d", "huge_3d", "wrap_key", "wrap_column",
+    ],
 )
 def test_box_count_table_matches_unique_rows(pts):
     # non-nested scales, finest first, including ones past the finest spacing
