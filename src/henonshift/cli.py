@@ -84,19 +84,10 @@ class _Parser(argparse.ArgumentParser):
 # helpers
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON-serializable: {type(o)}")
-
-
 def _sanitize(x):
-    """JSON has no inf/nan literals or complex numbers: stringify the
-    former, split the latter into {"re", "im"}."""
+    """JSON has no inf/nan literals, complex numbers or numpy values:
+    stringify the first, split the second into {"re", "im"}, and turn
+    the last into Python scalars and lists."""
     if isinstance(x, complex):
         return _sanitize({"re": x.real, "im": x.imag})
     if isinstance(x, dict):
@@ -105,6 +96,8 @@ def _sanitize(x):
         return [_sanitize(v) for v in x]
     if isinstance(x, float) and (math.isinf(x) or math.isnan(x)):
         return str(x)
+    if isinstance(x, (np.generic, np.ndarray)):
+        return _sanitize(x.tolist())
     return x
 
 
@@ -144,7 +137,7 @@ def _emit(args: argparse.Namespace, result: dict, csv_rows=None, csv_header=None
         }
         if not args.no_timestamp:
             payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -407,7 +400,9 @@ def _cmd_stats_clt(args) -> int:
 
 
 def _cmd_stats_boxdim(args) -> int:
-    if args.points:
+    if (args.points is None) == (args.set is None):
+        raise UsageError("exactly one of --points or --set is required")
+    if args.points is not None:
         try:
             pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         except (OSError, ValueError) as e:
@@ -418,12 +413,10 @@ def _cmd_stats_boxdim(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("--seed is required with --set")
-        maker = {"segment": segment_sample, "square": square_sample,
-                 "cantor": cantor_sample}.get(args.set)
-        if maker is None:
-            raise UsageError(f"unknown --set {args.set!r}")
         if args.n < 1:
             raise UsageError(f"--n must be >= 1, got {args.n}")
+        maker = {"segment": segment_sample, "square": square_sample,
+                 "cantor": cantor_sample}[args.set]
         pts = maker(args.n, args.seed)
     if args.scales:
         try:

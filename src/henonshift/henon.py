@@ -172,13 +172,16 @@ class ConeField:
     def __post_init__(self) -> None:
         if not 0.0 < self.half_angle < math.pi / 4:
             raise ValueError("half-angle must lie in (0, pi/4)")
-        n = math.hypot(*self.center)
-        if n == 0:
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center direction must be finite")
+        if math.hypot(*self.center) == 0:
             raise ValueError("center direction must be nonzero")
 
     def angle_to(self, u: Sequence[float]) -> float:
         cx, cy = self.center
         nc = math.hypot(cx, cy)
+        if not (math.isfinite(u[0]) and math.isfinite(u[1])):
+            raise ValueError("non-finite vector has no direction")
         nu = math.hypot(u[0], u[1])
         if nu == 0:
             raise ValueError("zero vector has no direction")

@@ -248,10 +248,9 @@ class MaxEntropyChain:
 
 @dataclass(frozen=True)
 class CylinderWord:
-    """Finite vertex word v_0..v_k observed starting at an anchor index."""
+    """Finite vertex word v_0..v_k."""
 
     word: tuple[str, ...]
-    anchor: int = 0
 
     def __post_init__(self) -> None:
         if not self.word:
@@ -265,13 +264,26 @@ class CylinderWord:
 # loop censuses
 
 
-def _successors(graph: MarkovGraph, reverse: bool = False) -> list[list[int]]:
-    """Successor index lists of every vertex (predecessors when reverse)."""
-    src, dst = (graph._dst, graph._src) if reverse else (graph._src, graph._dst)
-    out: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        out[u].append(v)
-    return out
+def _walker(graph: MarkovGraph) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The exact path-count recursion: walk(vec, k) advances every row of
+    walk counts (indexed by end vertex) by k arrows, summing over the
+    in-arrows of each vertex.  Rows stay int64 while no sum can reach 2^63
+    and become exact Python ints after that."""
+    order = np.argsort(graph._dst, kind="stable")
+    src = graph._src[order]
+    targets, starts = np.unique(graph._dst[order], return_index=True)
+    max_in = int(np.diff(starts, append=len(src)).max(initial=0))
+
+    def walk(vec: np.ndarray, k: int) -> np.ndarray:
+        for _ in range(k):
+            if vec.dtype != object and int(vec.max()) * max_in >= 2**63:
+                vec = vec.astype(object)
+            nxt = np.zeros_like(vec)
+            nxt[:, targets] = np.add.reduceat(vec[:, src], starts, axis=1)
+            vec = nxt
+        return vec
+
+    return walk
 
 
 def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
@@ -279,17 +291,12 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
 
     Z_n via the path-count recursion from the base; Z*_n via the same
     recursion on paths forbidden to revisit the base before time n.  Both
-    advance together as the rows of one (2, n) array, summed over the
-    in-arrows of each vertex.  The array is int64 while no sum can reach
-    2^63 and exact Python ints after that.
+    advance together as the rows of one (2, n) array under _walker.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     b = graph._idx[graph.base]
-    order = np.argsort(graph._dst, kind="stable")
-    src, dst = graph._src[order], graph._dst[order]
-    targets, starts = np.unique(dst, return_index=True)
-    max_in = int(np.diff(starts, append=len(dst)).max(initial=0))
+    walk = _walker(graph)
 
     # row 0 counts all paths from the base, row 1 those that avoid the base
     # strictly between the endpoints
@@ -298,14 +305,10 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     Z: list[int] = []
     Zstar: list[int] = []
     for _ in range(N):
-        if vec.dtype != object and int(vec.max()) * max_in >= 2**63:
-            vec = vec.astype(object)
-        nxt = np.zeros_like(vec)
-        nxt[:, targets] = np.add.reduceat(vec[:, src], starts, axis=1)
-        Z.append(int(nxt[0, b]))
-        Zstar.append(int(nxt[1, b]))
-        nxt[1, b] = 0  # loops already closed may not continue
-        vec = nxt
+        vec = walk(vec, 1)
+        Z.append(int(vec[0, b]))
+        Zstar.append(int(vec[1, b]))
+        vec[1, b] = 0  # loops already closed may not continue
 
     return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
 
@@ -406,7 +409,10 @@ def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:
 def _bfs_depths(graph: MarkovGraph, reverse: bool = False) -> list[int]:
     """Path length from the base to every vertex (to the base, when
     reverse); -1 where there is no path."""
-    succ = _successors(graph, reverse)
+    src, dst = (graph._dst, graph._src) if reverse else (graph._src, graph._dst)
+    succ: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
     start = graph._idx[graph.base]
     depth = [-1] * graph.n
     depth[start] = 0
@@ -625,25 +631,13 @@ def chain_entropy(chain: MaxEntropyChain) -> float:
 # periodic points
 
 
-def _walks(succ: list[list[int]], start: int, length: int) -> list[int]:
-    """Exact number of walks of the given length from start to each vertex."""
-    vec = [int(v == start) for v in range(len(succ))]
-    for _ in range(length):
-        nxt = [0] * len(succ)
-        for u, c in enumerate(vec):
-            if c:
-                for v in succ[u]:
-                    nxt[v] += c
-        vec = nxt
-    return vec
-
-
 def shift_periodic_census(graph: MarkovGraph, p: int) -> int:
-    """Card Fix sigma^p = trace(M^p), exact: the closed walks of length p."""
+    """Card Fix sigma^p = trace(M^p), exact: the closed walks of length p,
+    counted by one walk from each vertex."""
     if p < 1:
         raise ValueError("period must be >= 1")
-    succ = _successors(graph)
-    return sum(_walks(succ, v, p)[v] for v in range(graph.n))
+    walk, n = _walker(graph), graph.n
+    return sum(int(walk(np.eye(1, n, v, dtype=np.int64), p)[0, v]) for v in range(n))
 
 
 class CylinderComparison(NamedTuple):
@@ -656,10 +650,10 @@ def equidistribution_cylinder(
 ) -> CylinderComparison:
     """Cylinder mass under the uniform measure on Fix sigma^p vs the chain.
 
-    A period-p sequence realizes v_0..v_k at the anchor iff the closed
-    path contains that window, so the empirical count is the number of
-    paths v_k -> v_0 of length p - k.  The anchor drops out of the count
-    by shift invariance of Fix sigma^p.
+    The points of Fix sigma^p that begin with v_0..v_k are the closed
+    walks of length p through that word, so the empirical count is the
+    number of paths v_k -> v_0 of length p - k.  The uniform measure on
+    Fix sigma^p is shift invariant, so every position gives the same mass.
     """
     for v in cyl.word:
         if v not in graph._idx:
@@ -674,7 +668,8 @@ def equidistribution_cylinder(
         if (u, v) not in graph.arrows:
             return CylinderComparison(empirical=0.0, mme=0.0)
     idx = graph._idx
-    count = _walks(_successors(graph), idx[cyl.word[-1]], p - k)[idx[cyl.word[0]]]
+    start = np.eye(1, graph.n, idx[cyl.word[-1]], dtype=np.int64)
+    count = int(_walker(graph)(start, p - k)[0, idx[cyl.word[0]]])
     empirical = count / total
     mme = chain.pi_of(cyl.word[0])
     for u, v in zip(cyl.word, cyl.word[1:]):

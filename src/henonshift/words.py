@@ -132,9 +132,6 @@ class Word(_HashOnce):
     def __bool__(self) -> bool:
         return bool(self.symbols)
 
-    def suffix(self, k: int) -> "Word":
-        return Word(self.symbols[len(self.symbols) - k:]) if k else UNIT_WORD
-
     def __repr__(self) -> str:
         return "e" if not self.symbols else "·".join(s.id for s in self.symbols)
 

@@ -3,6 +3,7 @@ atomic --out writes, and config-file precedence."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from henonshift import markov
+from henonshift import cli, markov
 from henonshift.cli import main
 from henonshift.henon import HenonMap
 from henonshift.markov import graph_from_dict, gurevich_entropy
@@ -141,6 +142,7 @@ _BAD_DOCS = {
     "model_bad_m": {"M": "x"},
     "model_bad_name": {"M": 60, "model": "nope"},
     "model_ok": {"M": 60},
+    "points": "0.1,0.2\n0.3,0.4\n",
 }
 _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "--scales"]
 
@@ -180,6 +182,8 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["stats", "clt", "--seed", "1", "--n", "0"],
         ["stats", "clt", "--seed", "1", "--sample-n", "0"],
         ["orbits", "census", "--a", "-2", "--p", "2", "--grid", "0x4"],
+        ["stats", "boxdim", "--set", "cantor", "--seed", "1", "--points", "{points}"],
+        ["stats", "boxdim", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )
@@ -380,6 +384,18 @@ def test_stats_boxdim_points_file(tmp_path, capsys):
 def test_stats_boxdim_needs_exactly_one_source(capsys):
     code = main(["stats", "boxdim"])
     assert code == 1
+
+
+def test_numpy_values_reach_strict_json(capsys):
+    import numpy as np
+
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON literal")
+
+    args = argparse.Namespace(format="json", out=None, no_timestamp=True, _command="t")
+    cli._emit(args, {"n": np.int64(7), "v": np.array([np.inf, 1.0])})
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["result"] == {"n": 7, "v": ["inf", 1.0]}
 
 
 def test_stats_return_decay_model_route(tmp_path, capsys):

@@ -442,6 +442,20 @@ def test_cone_rejects_flat_half_angle():
         ConeField(center=(1.0, 0.0), half_angle=1.5)
 
 
+@pytest.mark.parametrize("u", [(math.nan, math.nan), (math.inf, 1.0)], ids=["nan", "inf"])
+def test_cone_refuses_a_non_finite_direction(u):
+    cone = ConeField(center=(1.0, 0.0), half_angle=0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        cone.angle_to(u)
+    with pytest.raises(ValueError, match="non-finite"):
+        cone.contains(u)
+
+
+def test_cone_rejects_a_non_finite_center():
+    with pytest.raises(ValueError, match="finite"):
+        ConeField(center=(math.nan, 0.0), half_angle=0.1)
+
+
 def test_map_json_roundtrip(tmp_path):
     m = HenonMap(a=-1.99, b=1e-6, perturbation="classical")
     d = map_to_dict(m)

@@ -560,6 +560,36 @@ def test_exact_counts_match_integer_matrix_powers_on_random_graphs(n, seed):
     _check_counts_against_matrix_powers(_graph_from_matrix(A), 20)
 
 
+@pytest.mark.parametrize("p", [39, 40, 41, 45])
+def test_fix_count_is_exact_past_int64(p):
+    # 3^40 is the first power of 3 past 2^63
+    assert shift_periodic_census(full_shift_graph(3), p) == 3**p
+
+
+def test_cylinder_masses_are_exact_past_int64():
+    g = full_shift_graph(3)
+    chain = build_mme(perron(g), g)
+    for w in ((u, v) for u in g.vertices for v in g.vertices):
+        # 3^43 / 3^45, both past 2^63, as one correctly rounded division
+        assert equidistribution_cylinder(g, 45, CylinderWord(w), chain).empirical == 1 / 3**2
+
+
+def test_fix_count_and_cylinder_memory_is_linear_in_the_vertices():
+    g = renewal_shift(2000)
+    chain = build_mme(perron(g), g)  # the dense chain stays out of the peak
+    shift_periodic_census(golden_mean_graph(), 3)  # and so do first-call caches
+    tracemalloc.start()
+    try:
+        total = shift_periodic_census(g, 3)
+        comp = equidistribution_cylinder(g, 3, CylinderWord(("1", "0")), chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 7  # 000, three rotations each of 001 and 021
+    assert comp.empirical == 2 / 7
+    assert peak < 1e6
+
+
 def test_perron_and_mme_memory_is_linear_in_the_arrows():
     g = renewal_shift(2000)
     perron(golden_mean_graph())  # first-call imports and caches stay out of the peak
