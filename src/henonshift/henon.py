@@ -178,14 +178,14 @@ class ConeField:
             raise ValueError("center direction must be nonzero")
 
     def angle_to(self, u: Sequence[float]) -> float:
-        cx, cy = self.center
-        nc = math.hypot(cx, cy)
         if not (math.isfinite(u[0]) and math.isfinite(u[1])):
             raise ValueError("non-finite vector has no direction")
-        nu = math.hypot(u[0], u[1])
-        if nu == 0:
+        # each vector over its largest |component|, so no product or norm overflows
+        su, sc = max(abs(u[0]), abs(u[1])), max(map(abs, self.center))
+        if su == 0:
             raise ValueError("zero vector has no direction")
-        cosv = abs(u[0] * cx + u[1] * cy) / (nc * nu)
+        ux, uy, cx, cy = u[0] / su, u[1] / su, self.center[0] / sc, self.center[1] / sc
+        cosv = abs(ux * cx + uy * cy) / (math.hypot(cx, cy) * math.hypot(ux, uy))
         return math.acos(min(1.0, cosv))
 
     def contains(self, u: Sequence[float]) -> bool:
@@ -230,28 +230,33 @@ def iterate(
     return OrbitSegment(points=pts, escaped=False, escape_time=None, n_requested=n)
 
 
+def _chain_rule(m: HenonMap, x: np.ndarray, y: np.ndarray, p: int) -> Iterator[tuple]:
+    """The p-step chain rule at the points (x, y): yields k, the coordinates
+    of f^k and the rows of Tf^k, each (2, n), for k = 1, ..., p."""
+    r0, r1 = np.zeros((2, 2, len(x)))  # the rows of J = Tf^k, each (2, n)
+    r0[0] = r1[1] = 1.0
+    for k in range(1, p + 1):
+        # J <- Tf(z_{k-1}) @ J, one row of J at a time
+        (d00, d01), (d10, d11) = m._jac_entries(x, y)
+        r0, r1 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1
+        x, y = m._step(x, y)
+        yield k, x, y, r0, r1
+
+
 def _orbit_batch(
     m: HenonMap, Z: np.ndarray, p: int
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The p-step chain rule for every row z of an (n, 2) array Z.
+    """_chain_rule kept whole for every row z of an (n, 2) array Z.
 
     Returns the orbit points z, f z, ..., f^p z as (n, p + 1, 2) and, for
     every divisor q of p, the products Tf^q(z) as (n, 2, 2).  Both are
     views of arrays with the point index last, so that every elementwise
     operation runs over contiguous memory.
     """
-    n = len(Z)
-    orb = np.empty((p + 1, 2, n))
+    orb = np.empty((p + 1, 2, len(Z)))
     orb[0] = Z.T
-    x, y = orb[0]
-    r0, r1 = np.zeros((2, 2, n))  # the rows of J = Tf^k(z), each (2, n)
-    r0[0] = r1[1] = 1.0
     jacs: dict[int, np.ndarray] = {}
-    for k in range(1, p + 1):
-        # J <- Tf(z_{k-1}) @ J, one row of J at a time
-        (d00, d01), (d10, d11) = m._jac_entries(x, y)
-        r0, r1 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1
-        x, y = m._step(x, y)
+    for k, x, y, r0, r1 in _chain_rule(m, orb[0, 0], orb[0, 1], p):
         orb[k, 0], orb[k, 1] = x, y
         if p % k == 0:
             jacs[k] = np.array([r0, r1]).transpose(2, 0, 1)

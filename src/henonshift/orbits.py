@@ -4,23 +4,25 @@ The 1-D branch (b = 0) finds all fixed points of the p-th iterate by
 bisecting the sign changes of a cosine-parametrized grid (roots cluster
 quadratically near the interval ends, uniformly in the angle), refined
 where a tangent root pair hides in one cell, and at a = -2 cross-checked
-against the exact angle family.  The 2-D branch runs a
-batched damped Newton from grid seeds, accepts candidates in one array
-pass and deduplicates orbits over their points sorted by abscissa.  Entropy
-comes from the slope of log Card Fix f^p; equidistribution is tested
-against an analytic or sampled reference law.
+against the exact angle family.  The 2-D branch runs one batched damped
+Newton per census from grid seeds (a refine check's doubled grid in the
+same batch), stops each seed at the scale of acceptance's backward error,
+accepts candidates in one array pass and deduplicates orbits over their
+points sorted by abscissa.  Entropy comes from the slope of log Card Fix
+f^p; equidistribution is tested against an analytic or sampled reference
+law.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .henon import HenonMap, _orbit_batch
+from .henon import HenonMap, _chain_rule, _orbit_batch
 from .stats import _ks_distance
 
 __all__ = [
@@ -68,8 +70,11 @@ def chebyshev_fixed_points(p: int) -> np.ndarray:
 
 
 def _iterate_poly(a: float, x: np.ndarray, p: int) -> np.ndarray:
-    for _ in range(p):
-        x = x * x + a
+    x = x * x
+    x += a
+    for _ in range(p - 1):
+        np.multiply(x, x, out=x)
+        x += a
     return x
 
 
@@ -191,35 +196,40 @@ def _newton_batch(
     m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
 ) -> np.ndarray:
     """Damped Newton for f^p(z) = z on all seeds at once; returns the
-    converged points (unfiltered for duplicates)."""
-    Z = seeds.astype(float).copy()
-    active = np.ones(len(Z), dtype=bool)
+    converged points (unfiltered for duplicates).
+
+    A seed stops once |f^p(z) - z| <= 0.1 tol max(1, |Tf^p|), the scale of
+    acceptance's backward error: on an expanding orbit float noise in
+    f^p(z) - z alone exceeds 0.1 tol.  Only the active seeds are carried.
+    """
+    Z = np.array(seeds, dtype=float)
+    rows, z = np.arange(len(Z)), Z.T.copy()  # z holds the active seeds' x and y
     for _ in range(max_iter):
-        if not active.any():
+        if not len(rows):
             break
-        za = Z[active]
-        orb, jacs = _orbit_batch(m, za, p)
-        F = orb[:, p] - za
-        J = jacs[p]  # G = J - Id
-        g00, g01, g10, g11 = J[:, 0, 0] - 1.0, J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] - 1.0
+        x, y = z
+        for _, fx, fy, r0, r1 in _chain_rule(m, x, y, p):
+            pass
+        F0, F1 = fx - x, fy - y
+        g00, g01, g10, g11 = r0[0] - 1.0, r0[1], r1[0], r1[1] - 1.0  # Tf^p - Id
         det = g00 * g11 - g01 * g10
         ok = np.abs(det) > 1e-14
-        delta = np.zeros_like(F)
-        inv_det = np.where(ok, det, 1.0)
-        delta[:, 0] = -(g11 * F[:, 0] - g01 * F[:, 1]) / inv_det
-        delta[:, 1] = -(-g10 * F[:, 0] + g00 * F[:, 1]) / inv_det
-        delta[~ok] = 0.0
-        norms = np.linalg.norm(delta, axis=1)
+        den = np.where(ok, det, 1.0)
+        d = np.where(ok, -np.array([g11 * F0 - g01 * F1, -g10 * F0 + g00 * F1]) / den, 0.0)
+        norms = np.sqrt(d[0] * d[0] + d[1] * d[1])
         big = norms > 0.1
-        delta[big] *= (0.1 / norms[big])[:, None]
-        za = za + delta
-        Z[active] = za
-        resid = np.linalg.norm(F, axis=1)
-        moved = np.linalg.norm(delta, axis=1)
-        escaped = np.max(np.abs(za), axis=1) > 8.0
-        still = (resid > 0.1 * tol) & (moved > 1e-17) & ~escaped & ok
-        idx = np.nonzero(active)[0]
-        active[idx] = still
+        d[:, big] *= 0.1 / norms[big]
+        z = z + d
+        nrm = np.maximum(np.sum(np.abs(r0), axis=0), np.sum(np.abs(r1), axis=0))
+        still = (
+            (np.sqrt(F0 * F0 + F1 * F1) > 0.1 * tol * np.fmax(1.0, nrm))
+            & (np.sqrt(d[0] * d[0] + d[1] * d[1]) > 1e-17)
+            & (np.max(np.abs(z), axis=0) <= 8.0)
+            & ok
+        )
+        Z[rows[~still]] = z[:, ~still].T
+        rows, z = rows[still], z[:, still]
+    Z[rows] = z.T
     return Z
 
 
@@ -281,20 +291,30 @@ def periodic_orbits_2d(
     10 tol); every orbit records its least period, the eigenvalues of the
     p-step Jacobian, and the final residual.  Orbits where Tf^p - Id is
     singular are flagged non-hyperbolic but kept.  refine_check doubles
-    the grid and reports whether the count was stable.
+    the grid and reports whether the count was stable; both grids run in
+    one Newton batch, since every seed's iteration is its own.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
 
     if isinstance(grid, np.ndarray):
-        seeds = grid
-        grid_shape = (len(grid), 1)
+        seeds = [grid]
     else:
-        seeds = _default_seed_grid(m, grid)
-        grid_shape = grid
+        seeds = [_default_seed_grid(m, grid)]
+        if refine_check:
+            nx, ny = grid
+            seeds.append(_default_seed_grid(m, (2 * nx, 2 * ny if ny > 1 else 1)))
+    cands = np.split(_newton_batch(m, np.vstack(seeds), p, tol), [len(seeds[0])])
+    census = _accept(m, p, cands[0], tol)
+    if len(seeds) > 1:
+        census = replace(census, stable=_accept(m, p, cands[1], tol).count_fix == census.count_fix)
+    return census
 
+
+def _accept(m: HenonMap, p: int, cands: np.ndarray, tol: float) -> PeriodicCensus:
+    """The census of the Newton output cands: acceptance, orbit dedup, least
+    periods and multipliers."""
     # accept the converged candidates whose backward error is within tol
-    cands = _newton_batch(m, seeds, p, tol)
     finite = np.all(np.isfinite(cands), axis=1)
     cands = cands[finite & (np.max(np.abs(cands), axis=1) <= 8.0)]
     orbs, jacs = _orbit_batch(m, cands, p)
@@ -329,22 +349,12 @@ def periodic_orbits_2d(
         )
         all_points.append(orbs[i, : least[j]])
 
-    count_fix = sum(o.least_period for o in orbits)
-    points = np.vstack(all_points) if all_points else np.empty((0, 2))
-
-    stable = None
-    if refine_check and not isinstance(grid, np.ndarray):
-        doubled = (grid_shape[0] * 2, max(grid_shape[1], 1) * 2 if grid_shape[1] > 1 else 1)
-        again = periodic_orbits_2d(m, p, doubled, tol, refine_check=False)
-        stable = bool(again.count_fix == count_fix)
-
     return PeriodicCensus(
         p=p,
         orbits=tuple(orbits),
-        count_fix=count_fix,
-        points=points,
+        count_fix=sum(o.least_period for o in orbits),
+        points=np.vstack(all_points) if all_points else np.empty((0, 2)),
         tol=tol,
-        stable=stable,
     )
 
 

@@ -451,6 +451,18 @@ def test_cone_refuses_a_non_finite_direction(u):
         cone.contains(u)
 
 
+@pytest.mark.parametrize(
+    "center,u",
+    [((1.0, 0.0), (1.7e308, 1.7e308)), ((1.7e308, 1.7e308), (1.0, 0.0))],
+    ids=["large-u", "large-center"],
+)
+def test_cone_angle_near_the_float_limit(center, u):
+    # a norm formed from the raw components would overflow to inf here
+    assert ConeField(center=center, half_angle=0.7).angle_to(u) == pytest.approx(
+        math.pi / 4, abs=1e-15
+    )
+
+
 def test_cone_rejects_a_non_finite_center():
     with pytest.raises(ValueError, match="finite"):
         ConeField(center=(math.nan, 0.0), half_angle=0.1)

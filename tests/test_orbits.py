@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henonshift import orbits
-from henonshift.henon import HenonMap
+from henonshift.henon import HenonMap, _orbit_batch
 from henonshift.orbits import (
     arcsine_cdf,
     arcsine_mean,
@@ -485,6 +485,120 @@ def test_census_2d_custom_twin_matches_classical(p):
     assert [(o.representative, o.least_period, o.multipliers) for o in census.orbits] == [
         (o.representative, o.least_period, o.multipliers) for o in ref.orbits
     ]
+
+
+def _reference_newton_batch(m, seeds, p, tol, max_iter=100):
+    """The Newton loop with an unscaled stop rule: it gathers and scatters
+    the active rows of Z on every pass, stores each pass's whole orbit and
+    stops a seed only once |f^p(z) - z| <= 0.1 tol, which float noise keeps
+    an expanding orbit from meeting before max_iter."""
+    Z = seeds.astype(float).copy()
+    active = np.ones(len(Z), dtype=bool)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        za = Z[active]
+        orb, jacs = _orbit_batch(m, za, p)
+        F = orb[:, p] - za
+        J = jacs[p]  # G = J - Id
+        g00, g01, g10, g11 = J[:, 0, 0] - 1.0, J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] - 1.0
+        det = g00 * g11 - g01 * g10
+        ok = np.abs(det) > 1e-14
+        delta = np.zeros_like(F)
+        inv_det = np.where(ok, det, 1.0)
+        delta[:, 0] = -(g11 * F[:, 0] - g01 * F[:, 1]) / inv_det
+        delta[:, 1] = -(-g10 * F[:, 0] + g00 * F[:, 1]) / inv_det
+        delta[~ok] = 0.0
+        norms = np.linalg.norm(delta, axis=1)
+        big = norms > 0.1
+        delta[big] *= (0.1 / norms[big])[:, None]
+        za = za + delta
+        Z[active] = za
+        resid = np.linalg.norm(F, axis=1)
+        moved = np.linalg.norm(delta, axis=1)
+        escaped = np.max(np.abs(za), axis=1) > 8.0
+        still = (resid > 0.1 * tol) & (moved > 1e-17) & ~escaped & ok
+        idx = np.nonzero(active)[0]
+        active[idx] = still
+    return Z
+
+
+def _twin(m):
+    """The classical map m through the general custom path."""
+    b = m.b
+    return HenonMap(
+        a=m.a,
+        b=b,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.0, b * x),
+        custom_dB=lambda x, y: np.array([[0.0, 0.0], [b, 0.0]]),
+    )
+
+
+_HORSESHOE = HenonMap(a=-2.0 + 1e-3, b=1e-6, perturbation="classical")
+_DIFFERENTIAL_MAPS = {
+    "horseshoe": _HORSESHOE,
+    "a-1.9": HenonMap(a=-1.9, b=0.01, perturbation="classical"),
+    "a-1.8": HenonMap(a=-1.8, b=0.03, perturbation="classical"),
+    "a-1.4": HenonMap(a=-1.4, b=0.3, perturbation="classical"),
+    "zero": HenonMap(a=-1.9),
+    "custom": _twin(_HORSESHOE),
+}
+
+
+@pytest.mark.parametrize("grid", [(256, 4), (64, 2), (32, 1)], ids=str)
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_MAPS))
+def test_census_2d_matches_reference_newton(name, grid, monkeypatch):
+    """The census, refine check included, against one with the reference
+    Newton, whose refine check is a separate census on the doubled grid."""
+    m = _DIFFERENTIAL_MAPS[name]
+    nx, ny = grid
+    for p in range(1, 8):
+        census = periodic_orbits_2d(m, p, grid=grid, refine_check=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "_newton_batch", _reference_newton_batch)
+            ref = periodic_orbits_2d(m, p, grid=grid)
+            doubled = periodic_orbits_2d(m, p, grid=(2 * nx, 2 * ny if ny > 1 else 1))
+        assert census.count_fix == ref.count_fix
+        assert census.stable == (doubled.count_fix == ref.count_fix)
+        assert len(census.orbits) == len(ref.orbits)
+        for o, r in zip(census.orbits, ref.orbits):
+            assert (o.least_period, o.non_hyperbolic) == (r.least_period, r.non_hyperbolic)
+            assert np.max(np.abs(np.subtract(o.representative, r.representative))) <= 1e-14
+
+
+def test_newton_stops_at_the_acceptance_scale(monkeypatch):
+    # at p = 6 the orbits expand by about 4^6, so float noise in f^p(z) - z
+    # exceeds 0.1 tol: an unscaled stop rule runs all max_iter passes here
+    census = periodic_orbits_2d(_HORSESHOE, 6, grid=(256, 4))
+    assert census.count_fix == 64
+    chain_rule, passes = orbits._chain_rule, []
+
+    def counted(*args):
+        passes.append(len(args[1]))
+        return chain_rule(*args)
+
+    monkeypatch.setattr(orbits, "_chain_rule", counted)
+    Z = _newton_batch(_HORSESHOE, census.points, 6, census.tol)
+    assert passes == [64]
+    assert np.max(np.abs(Z - census.points)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_census_2d_refine_check_is_one_newton_batch(p, monkeypatch):
+    calls = []
+
+    def counted(m, seeds, *args):
+        calls.append(len(seeds))
+        return _newton_batch(m, seeds, *args)
+
+    monkeypatch.setattr(orbits, "_newton_batch", counted)
+    census = periodic_orbits_2d(_HORSESHOE, p, grid=(256, 4), refine_check=True)
+    assert calls == [256 * 4 + 512 * 8]
+    base = periodic_orbits_2d(_HORSESHOE, p, grid=(256, 4))
+    doubled = periodic_orbits_2d(_HORSESHOE, p, grid=(512, 8))
+    assert census.count_fix == base.count_fix
+    assert census.stable == (doubled.count_fix == base.count_fix)
 
 
 # ---------------------------------------------------------------------------
