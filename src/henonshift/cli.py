@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, malformed input files),
 2 analysis-level failure (check did not pass, escape/overflow, horizon
-too short).  Outputs are JSON by default (CSV where a table is natural),
-embed the resolved configuration and library version, and are written
+too short).  Outputs are JSON, except that the four verbs whose result
+is a table (orbits census, stats mixing, stats boxdim, stats
+return-decay) write CSV under --format csv.  JSON outputs embed the
+resolved configuration and library version; every output is written
 atomically when --out is given.
 """
 
@@ -120,7 +122,8 @@ def _emit(args: argparse.Namespace, result: dict, csv_rows=None, csv_header=None
         for k, v in vars(args).items()
         if k not in ("func", "out", "config") and not k.startswith("_")
     }
-    if args.format == "csv" and csv_rows is not None:
+    # only the verbs that pass csv_rows take --format
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         if csv_header:
@@ -347,7 +350,7 @@ def _cmd_orbits_equidist(args) -> int:
             raise UsageError(str(e)) from e
     else:
         points = periodic_orbits_2d(m, args.p, grid=_parse_grid(args.grid), tol=args.tol)
-    rep = equidistribution_test(points, args.reference, statistic=args.statistic)
+    rep = equidistribution_test(points, statistic=args.statistic)
     _emit(args, asdict(rep) | {"threshold": args.threshold})
     if args.threshold is not None and rep.distance > args.threshold:
         return 2
@@ -478,7 +481,6 @@ def _cmd_stats_return_decay(args) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="write output here (atomic); default stdout")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit timestamp for byte-identical reruns")
     sp.add_argument("--config", help="JSON file of flag defaults (dest: value)")
@@ -543,6 +545,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--refine-check", action="store_true")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
 
     sp = verb(orbits_sub, "orbits entropy", _cmd_orbits_entropy)
@@ -556,7 +559,6 @@ def build_parser() -> _Parser:
     sp = verb(orbits_sub, "orbits equidist", _cmd_orbits_equidist)
     _add_map_flags(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--reference", choices=("arcsine",), default="arcsine")
     sp.add_argument("--statistic", choices=("KS", "cylinder"), default="KS")
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12,
@@ -576,6 +578,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--g", default="x", help=_OBSERVABLES)
     sp.add_argument("--h", dest="obs_h", default="x", help=_OBSERVABLES)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
 
     sp = verb(stats_sub, "stats clt", _cmd_stats_clt)
@@ -595,6 +598,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--scales", help="comma-separated box sizes")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
 
     sp = verb(stats_sub, "stats return-decay", _cmd_stats_return_decay)
@@ -602,6 +606,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--model", help="suitability-model JSON")
     sp.add_argument("--horizon", type=int, default=120)
     sp.add_argument("--h-top", type=float, default=None)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
 
     return ap

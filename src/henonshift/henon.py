@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _PERTURBATIONS = ("zero", "classical", "custom")
+# An orbit counts as escaped once |x| or |y| exceeds this.
+_ESCAPE_RADIUS = 10.0
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,7 @@ class OrbitSegment:
         return self.points.shape[0]
 
 
-def iterate(
-    m: HenonMap,
-    point: Sequence[float],
-    n: int,
-    escape_radius: float = 10.0,
-) -> OrbitSegment:
+def iterate(m: HenonMap, point: Sequence[float], n: int) -> OrbitSegment:
     """Forward orbit; stops early (flagged) once |x| or |y| exceeds the
     escape radius."""
     if n < 0:
@@ -220,9 +217,10 @@ def iterate(
     x, y = float(point[0]), float(point[1])
     pts = np.empty((n + 1, 2))
     pts[0] = (x, y)
+    r = _ESCAPE_RADIUS  # a local: the loop below runs once per step
     for k in range(1, n + 1):
         x, y = m.apply(x, y)
-        if abs(x) > escape_radius or abs(y) > escape_radius:
+        if abs(x) > r or abs(y) > r:
             return OrbitSegment(
                 points=pts[:k].copy(), escaped=True, escape_time=k, n_requested=n
             )
@@ -331,7 +329,6 @@ def _tangent_blocks(
     point: Sequence[float],
     u: tuple[float, float],
     n: int,
-    escape_radius: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
     """The tangent recurrence from the unit vector u, up to n steps.
 
@@ -347,6 +344,7 @@ def _tangent_blocks(
     the direction nan.
     """
     apply = m.apply
+    r = _ESCAPE_RADIUS  # a local: the walk below runs once per step
     x, y = float(point[0]), float(point[1])
     ux, uy = u
     s = 0.0
@@ -360,7 +358,7 @@ def _tangent_blocks(
             xs.append(x)
             ys.append(y)
             x, y = apply(x, y)
-            if abs(x) > escape_radius or abs(y) > escape_radius:
+            if abs(x) > r or abs(y) > r:
                 escaped = True
                 break
         J = np.empty((2, 2, len(xs)))
@@ -389,11 +387,7 @@ def _tangent_blocks(
 
 
 def tangent_cocycle(
-    m: HenonMap,
-    point: Sequence[float],
-    u: Sequence[float],
-    n: int,
-    escape_radius: float = 10.0,
+    m: HenonMap, point: Sequence[float], u: Sequence[float], n: int
 ) -> TangentProduct:
     """Renormalized product of Jacobians applied to u.
 
@@ -411,7 +405,7 @@ def tangent_cocycle(
     logdets = np.empty(n)
     k = 0
     escaped = False
-    for e, d, ld, escaped in _tangent_blocks(m, point, u, n, escape_radius):
+    for e, d, ld, escaped in _tangent_blocks(m, point, u, n):
         ell[k + 1 : k + 1 + len(e)] = e
         dirs[k + 1 : k + 1 + len(e)] = d
         logdets[k : k + len(ld)] = ld
@@ -429,18 +423,14 @@ def tangent_cocycle(
     )
 
 
-def region_sample_U(
-    m: HenonMap, params: Params, count: int, seed: int, pad: float = 0.0
-) -> np.ndarray:
+def region_sample_U(m: HenonMap, params: Params, count: int, seed: int) -> np.ndarray:
     """Sample the 3-theta neighborhood of [a, f(a)] x {0}.
 
-    At b = 0 the neighborhood collapses to the segment itself; pad widens
-    the interval at both ends (useful to keep a safety distance from the
-    endpoints or to stress the check).
+    At b = 0 the neighborhood collapses to the segment itself.
     """
     rng = np.random.default_rng(seed)
     fa = m.a * m.a + m.a  # image of the critical value line start
-    lo, hi = min(m.a, fa) - pad, max(m.a, fa) + pad
+    lo, hi = min(m.a, fa), max(m.a, fa)
     t = 3.0 * params.theta
     xs = rng.uniform(lo - t, hi + t, size=count)
     ys = rng.uniform(-t, t, size=count) if t > 0 else np.zeros(count)
@@ -576,22 +566,20 @@ def most_contracted_direction(
     return vt[1].copy(), gap
 
 
-def lyapunov(
-    m: HenonMap, point: Sequence[float], n: int, u: Sequence[float] = (1.0, 0.0)
-) -> tuple[float, float]:
+def lyapunov(m: HenonMap, point: Sequence[float], n: int) -> tuple[float, float]:
     """(lambda_1, lambda_2) along one orbit.
 
-    lambda_1 from the renormalized growth of u; lambda_2 closes the pair
-    through the determinant identity lambda_1 + lambda_2 = mean log |det|.
-    Degenerate Jacobians (b = 0) give lambda_2 = -inf.  Escaping orbits
-    raise.
+    lambda_1 from the renormalized growth of the vector (1, 0); lambda_2
+    closes the pair through the determinant identity lambda_1 + lambda_2 =
+    mean log |det|.  Degenerate Jacobians (b = 0) give lambda_2 = -inf.
+    Escaping orbits raise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ell = 0.0
     logdet = 0.0
     k = 0
-    for e, _, ld, escaped in _tangent_blocks(m, point, _unit(u), n, escape_radius=10.0):
+    for e, _, ld, escaped in _tangent_blocks(m, point, (1.0, 0.0), n):
         k += len(e)
         if escaped:
             raise RuntimeError(f"orbit escaped at step {k}")

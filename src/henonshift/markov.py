@@ -313,18 +313,6 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
 
 
-def _log_big(x: int) -> float:
-    """log of a positive integer of arbitrary size."""
-    if x <= 0:
-        raise ValueError("log of nonpositive count")
-    try:
-        return math.log(x)
-    except OverflowError:
-        bl = x.bit_length()
-        mant = x >> (bl - 53)
-        return math.log(mant) + (bl - 53) * math.log(2.0)
-
-
 class Radii(NamedTuple):
     R: float
     R_star: float
@@ -338,8 +326,8 @@ def _root_test(seq: Sequence[int], window: int) -> float:
     best = 0.0
     for n in range(N - window + 1, N + 1):
         v = seq[n - 1]
-        if v > 0:
-            best = max(best, math.exp(_log_big(v) / n))
+        if v > 0:  # math.log takes ints past the float range
+            best = max(best, math.exp(math.log(v) / n))
     if best == 0.0:
         return math.inf
     return 1.0 / best

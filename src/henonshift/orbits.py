@@ -292,12 +292,15 @@ def periodic_orbits_2d(
     p-step Jacobian, and the final residual.  Orbits where Tf^p - Id is
     singular are flagged non-hyperbolic but kept.  refine_check doubles
     the grid and reports whether the count was stable; both grids run in
-    one Newton batch, since every seed's iteration is its own.
+    one Newton batch, since every seed's iteration is its own.  An explicit
+    seed array has no doubled grid, so it cannot take refine_check.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
 
     if isinstance(grid, np.ndarray):
+        if refine_check:
+            raise ValueError("refine_check needs a (nx, ny) grid, not a seed array")
         seeds = [grid]
     else:
         seeds = [_default_seed_grid(m, grid)]
@@ -371,12 +374,11 @@ class EntropyEstimate:
 
 def entropy_from_census(
     censuses: Sequence[PeriodicCensus | tuple[int, int]],
-    log2_tol: float = 0.05,
 ) -> EntropyEstimate:
     """Least-squares slope of log Card Fix f^p against p.
 
     Accepts census objects or bare (p, count) pairs.  Counts must be
-    positive; a slope exceeding log 2 + log2_tol is rejected outright
+    positive; a slope exceeding log 2 + 0.05 is rejected outright
     (more periodic points than the quadratic family can have signals a
     census defect).
     """
@@ -395,9 +397,9 @@ def entropy_from_census(
     logs = np.array([math.log(n) for _, n in pairs])
     slope, intercept = np.polyfit(ps, logs, 1)
     resid = float(np.sqrt(np.mean((logs - (slope * ps + intercept)) ** 2)))
-    if slope > math.log(2.0) + log2_tol:
+    if slope > math.log(2.0) + 0.05:
         raise ValueError(
-            f"fitted growth rate {slope:.4f} exceeds log 2 + {log2_tol}; "
+            f"fitted growth rate {slope:.4f} exceeds log 2 + 0.05; "
             "census is overcounting"
         )
     return EntropyEstimate(slope=float(slope), per_p=tuple(pairs), residual=resid)
@@ -410,10 +412,11 @@ def arcsine_cdf(x: np.ndarray | float) -> np.ndarray | float:
     return float(out) if np.isscalar(x) else out
 
 
-def arcsine_mean(g: Callable[[np.ndarray], np.ndarray], n_quad: int = 20001) -> float:
+def arcsine_mean(g: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of g against the arcsine density, via the angle substitution
-    x = 2 cos(theta) which flattens the law to uniform in theta."""
-    theta = np.linspace(0.0, np.pi, n_quad)
+    x = 2 cos(theta) which flattens the law to uniform in theta, by the
+    trapezoid rule on 20001 nodes."""
+    theta = np.linspace(0.0, np.pi, 20001)
     return float(np.trapezoid(g(2.0 * np.cos(theta)), theta) / np.pi)
 
 

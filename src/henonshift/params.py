@@ -85,11 +85,6 @@ class Params:
             return math.inf
 
     @property
-    def s(self) -> float:
-        """Reference covering-sum exponent 1/sqrt(M)."""
-        return 1.0 / math.sqrt(self.M)
-
-    @property
     def lam(self) -> float:
         """Covering-sum decay target e^{-M^(1/4)}."""
         return math.exp(-self.M ** 0.25)

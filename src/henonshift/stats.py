@@ -180,6 +180,10 @@ def _as_1d_map(m: HenonMap | Callable[[np.ndarray], np.ndarray]):
     if isinstance(m, HenonMap):
         if m.b != 0.0:
             raise ValueError("1-D statistics need the b = 0 reduction")
+        if m.perturbation == "custom":
+            raise ValueError(
+                "1-D statistics reduce the map to x^2 + a, which drops a custom perturbation"
+            )
         a = m.a
         return lambda x: x * x + a
     return m
@@ -234,11 +238,10 @@ def covariance_decay(
     g: Callable[[np.ndarray], np.ndarray],
     h: Callable[[np.ndarray], np.ndarray],
     n_max: int,
-    noise_factor: float = 3.0,
 ) -> DecayFit:
     """Cov_n = E[g (h o f^n)] - E[g] E[h o f^n] over the pushed sample.
 
-    Lags whose |Cov_n| sits below noise_factor * sd(g) sd(h) / sqrt(N_eff)
+    Lags whose |Cov_n| sits below 3 sd(g) sd(h) / sqrt(N_eff)
     carry no signal and are excluded from the kappa regression.
     """
     if n_max < 1:
@@ -264,7 +267,7 @@ def covariance_decay(
     hx = np.asarray(h(x), dtype=float)
     mh0 = float(np.sum(w * hx))
     sd_h = math.sqrt(max(float(np.sum(w * (hx - mh0) ** 2)), 0.0))
-    floor = noise_factor * sd_g * sd_h / math.sqrt(n_eff)
+    floor = 3.0 * sd_g * sd_h / math.sqrt(n_eff)
 
     covs = []
     cur = x.copy()
@@ -584,11 +587,12 @@ def square_sample(n: int, seed: int) -> np.ndarray:
     return rng.random((n, 2))
 
 
-def cantor_sample(n: int, seed: int, digits: int = 26) -> np.ndarray:
-    """Uniform (Hausdorff-measure) sample of the middle-thirds Cantor set."""
+def cantor_sample(n: int, seed: int) -> np.ndarray:
+    """Uniform (Hausdorff-measure) sample of the middle-thirds Cantor set,
+    to 26 ternary digits."""
     rng = np.random.default_rng(seed)
-    trits = 2 * rng.integers(0, 2, size=(n, digits))
-    x = trits @ (3.0 ** -np.arange(1, digits + 1))
+    trits = 2 * rng.integers(0, 2, size=(n, 26))
+    x = trits @ (3.0 ** -np.arange(1, 27))
     return np.column_stack([x, np.zeros(n)])
 
 
@@ -600,7 +604,6 @@ def return_decay_check(
     chain: MaxEntropyChain | None,
     census: LoopCensus,
     h_top: float,
-    noise_floor: float = 0.0,
 ) -> DecayFit:
     """Decay of pi_e Z*_n e^{-n h_top}.
 
@@ -615,7 +618,7 @@ def return_decay_check(
     vals = np.array(
         [pi_e * census.zstar(int(nn)) * math.exp(-h_top * int(nn)) for nn in lags]
     )
-    kappa, r2, used, _ = _fit_decay(lags, vals, noise_floor)
+    kappa, r2, used, _ = _fit_decay(lags, vals, 0.0)
     degenerate = len(used) <= 2
     if degenerate:
         kappa, r2 = 0.0, 1.0
@@ -624,7 +627,7 @@ def return_decay_check(
         values=tuple(float(v) for v in vals),
         kappa=kappa,
         r2=r2,
-        noise_floor=noise_floor,
+        noise_floor=0.0,
         used=used,
         degenerate=degenerate,
         exponential=bool(degenerate or kappa < 1.0),

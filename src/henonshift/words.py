@@ -640,18 +640,16 @@ def zstar_from_model(n: int, model: SuitabilityModel) -> int:
     return _zstar(model, n)[n]
 
 
-def synthetic_census(model: SuitabilityModel, N: int, base: str = "e") -> LoopCensus:
-    """Loop census of the word model: Z* from the model and Z closed up by
-    the renewal identity Z_n = sum_k Z*_k Z_{n-k}."""
+def synthetic_census(model: SuitabilityModel, N: int) -> LoopCensus:
+    """Loop census of the word model at the base vertex "e": Z* from the
+    model and Z closed up by the renewal identity Z_n = sum_k Z*_k Z_{n-k}."""
     if N < 2:
         raise ValueError("horizon must be >= 2")
     Zstar = _zstar(model, N)[: N + 1]
     Z = [1]
     for n in range(1, N + 1):
         Z.append(sum(map(mul, Zstar[1 : n + 1], Z[::-1])))
-    return LoopCensus(
-        base=base, horizon=N, Z=tuple(Z[1:]), Zstar=tuple(Zstar[1:])
-    )
+    return LoopCensus(base="e", horizon=N, Z=tuple(Z[1:]), Zstar=tuple(Zstar[1:]))
 
 
 def enumerate_words(
@@ -819,16 +817,14 @@ def dimension_upper_bound(
     params: Params,
     s_grid: Sequence[float],
     N_max: int = 12,
-    factor: float = 3.0,
-    weight: str = "cardinality",
 ) -> DimensionBound:
     """Smallest grid exponent whose covering sums decay geometrically.
 
-    Certifies s when Psi_0 >= Psi_1 >= ... strictly decay up to N_max with
-    no divergence flag; returns factor * s (capped at 1), mirroring the
-    diameter-exponent tripling of the covering argument.  An empty block
-    family certifies bound 0; no certifying grid point returns 1 with a
-    warning.
+    Certifies s when Psi_0 >= Psi_1 >= ... of the cardinality-weighted
+    covering sums strictly decay up to N_max with no divergence flag;
+    returns 3 s (capped at 1), mirroring the diameter-exponent tripling of
+    the covering argument.  An empty block family certifies bound 0; no
+    certifying grid point returns 1 with a warning.
     """
     if not s_grid or any(
         s2 <= s1 for s1, s2 in zip(s_grid, list(s_grid)[1:])
@@ -838,6 +834,7 @@ def dimension_upper_bound(
         raise ValueError("grid exponents must lie in (0, 1]")
     if N_max < 1:
         raise ValueError("N_max must be >= 1: certifying needs a decay check")
+    factor, weight = 3.0, "cardinality"
 
     last = block_sum(model, params, s_grid[-1], weight)
     if last[0] == 0.0:

@@ -333,6 +333,58 @@ def test_stats_mixing_csv_fit_column(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def test_stats_boxdim_csv(tmp_path, capsys):
+    out = tmp_path / "box.csv"
+    code = main(
+        [
+            "stats", "boxdim", "--set", "cantor", "--n", "5000", "--seed", "1",
+            "--format", "csv", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["eps", "boxes"]
+    assert len(rows) == 11  # one row per scale 3^-1 .. 3^-10
+
+
+def test_stats_return_decay_csv(tmp_path, capsys):
+    model = _write(tmp_path, "m.json", {"M": 100, "b": 1e-8, "model": "full"})
+    out = tmp_path / "tail.csv"
+    code = main(
+        [
+            "stats", "return-decay", "--model", model, "--horizon", "60",
+            "--format", "csv", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "tail"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, 61))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "entropy", "--graph", "{graph}"],
+        ["shift", "mme", "--graph", "{graph}"],
+        ["shift", "spr", "--graph", "{graph}"],
+        ["shift", "fix-count", "--graph", "{graph}", "--p", "3"],
+        ["shift", "equidist", "--graph", "{graph}", "--p", "4", "--cylinder", "0"],
+        ["orbits", "entropy", "--a", "-2.0", "--p-max", "3"],
+        ["orbits", "equidist", "--a", "-2.0", "--p", "8"],
+        ["stats", "clt", "--seed", "1"],
+    ],
+)
+def test_json_only_verbs_reject_format(argv, tmp_path, capsys):
+    # only verbs whose result is a table take --format
+    g = _write(tmp_path, "g.json", GOLDEN)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(graph=g) for a in argv] + ["--format", "csv"])
+    assert exc.value.code == 1
+
+
 def test_stats_clt_json(capsys):
     code, doc = _run_json(
         capsys,

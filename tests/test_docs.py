@@ -126,3 +126,46 @@ def test_private_helpers_are_used():
         and total[node.name] <= _name_uses(node)[node.name]
     ]
     assert trees and not dead, dead
+
+
+def test_public_parameters_have_callers():
+    # every defaulted parameter of a public library function must be passed
+    # somewhere (by keyword, by enough positional arguments to reach it, or
+    # through a call with * or **), or it is a setting nothing uses
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, arg: str, index: int | None) -> bool:
+        return (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, arg) for k in call.keywords)
+            or (index is not None and len(call.args) > index)
+        )
+
+    unused = []
+    for module in ("markov", "words", "henon", "orbits", "stats"):
+        path = ROOT / "src" / "henonshift" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public = set(getattr(henonshift, module).__all__)
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in public:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            defaulted += [
+                (p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+            ]
+            unused += [
+                f"{module}.{fn.name}({arg})"
+                for arg, i in defaulted
+                if not any(passed(c, arg, i) for c in calls.get(fn.name, []))
+            ]
+    assert not unused, ", ".join(unused)

@@ -309,6 +309,15 @@ def test_census_2d_refine_flag_default_none():
     assert refined.stable is True
 
 
+def test_census_2d_seed_array_refuses_refine_check():
+    # an explicit seed array has no doubled grid to check the count against
+    m = HenonMap(a=-2.0, b=0.0)
+    seeds = _default_seed_grid(m, (64, 1))
+    assert periodic_orbits_2d(m, 3, grid=seeds).count_fix == 8
+    with pytest.raises(ValueError, match="refine_check"):
+        periodic_orbits_2d(m, 3, grid=seeds, refine_check=True)
+
+
 def test_census_2d_custom_perturbation_scalar_path():
     eps = 1e-7
     m = HenonMap(

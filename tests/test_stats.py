@@ -181,6 +181,22 @@ def test_covariance_henon_map_b_zero_accepted():
         covariance_decay(m2, mu, coordinate(), coordinate(), n_max=4)
 
 
+def test_one_d_statistics_refuse_a_custom_perturbation():
+    # at b = 0 the 1-D reduction x^2 + a would drop B = (0.05, 0) unseen
+    m = HenonMap(
+        a=-2.0,
+        b=0.0,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.05, 0.0),
+        custom_dB=lambda x, y: np.zeros((2, 2)),
+    )
+    mu = sample_mme_1d("arcsine", 10_000, seed=4)
+    with pytest.raises(ValueError, match="custom"):
+        covariance_decay(m, mu, coordinate(), coordinate(), n_max=4)
+    with pytest.raises(ValueError, match="custom"):
+        clt_test(m, mu, coordinate(), n=64, trials=500, alpha=0.01, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # central limit check
 
