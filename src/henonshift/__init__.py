@@ -17,6 +17,7 @@ Five submodules:
 
 from .params import Params
 from .markov import (
+    AnalysisError,
     CylinderWord,
     LoopCensus,
     MarkovGraph,

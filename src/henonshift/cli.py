@@ -1,12 +1,15 @@
 """Command-line front end: one executable, verb-noun subcommands.
 
-Exit codes: 0 success, 1 usage error (bad flags, malformed input files),
-2 analysis-level failure (check did not pass, escape/overflow, horizon
-too short).  Outputs are JSON, except that the four verbs whose result
-is a table (orbits census, stats mixing, stats boxdim, stats
-return-decay) write CSV under --format csv.  JSON outputs embed the
-resolved configuration and library version; every output is written
-atomically when --out is given.
+Exit codes: 0 success; 2 when the input is valid but the analysis cannot
+produce a result or its check fails (AnalysisError, numpy's LinAlgError,
+a RuntimeError such as ConvergenceError, OverflowError); 1 for any other
+refused input, whether argparse, the CLI or a library argument check
+refuses it.
+Outputs are JSON, except that the four verbs whose result is a table
+(orbits census, stats mixing, stats boxdim, stats return-decay) write
+CSV under --format csv.  JSON outputs embed the resolved configuration
+and library version; every output is written atomically when --out is
+given.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import numpy as np
 from . import __version__
 from .henon import HenonMap
 from .markov import (
-    ConvergenceError,
+    AnalysisError,
     CylinderWord,
-    NotStronglyConnectedError,
     build_mme,
     chain_entropy,
     count_loops,
@@ -66,10 +68,6 @@ from .stats import (
     square_sample,
 )
 from .words import model_from_dict, synthetic_census
-
-
-class UsageError(Exception):
-    """Bad flag values or unreadable inputs: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,21 +150,21 @@ def _load_json_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise UsageError(
+        raise ValueError(
             f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
 
 
 def _load_document(path: str, build: Callable[[dict], object]):
-    """A JSON file turned into a library object by `build`; a document the
-    builder rejects is a usage error."""
+    """A JSON file turned into a library object by `build`; the builder's
+    refusal is reported with the file's name."""
     data = _load_json_file(path)
     try:
         return build(data)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"invalid document {path}: {e}") from e
+        raise ValueError(f"invalid document {path}: {e}") from e
 
 
 def _graph(args):
@@ -182,9 +180,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
         nx, ny = text.lower().split("x")
         grid = (int(nx), int(ny))
     except Exception as e:
-        raise UsageError(f"--grid expects NXxNY, got {text!r}") from e
+        raise ValueError(f"--grid expects NXxNY, got {text!r}") from e
     if min(grid) < 1:
-        raise UsageError(f"--grid sizes must be >= 1, got {text!r}")
+        raise ValueError(f"--grid sizes must be >= 1, got {text!r}")
     return grid
 
 
@@ -204,8 +202,8 @@ def _observable(spec: str) -> Callable[[np.ndarray], np.ndarray]:
             lo, hi, ramp = (float(t) for t in spec.split(":", 1)[1].split(","))
             return smoothed_indicator(lo, hi, ramp)
     except ValueError as e:
-        raise UsageError(f"bad observable {spec!r} ({e}); use {_OBSERVABLES}") from e
-    raise UsageError(f"unknown observable {spec!r}; use {_OBSERVABLES}")
+        raise ValueError(f"bad observable {spec!r} ({e}); use {_OBSERVABLES}") from e
+    raise ValueError(f"unknown observable {spec!r}; use {_OBSERVABLES}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,6 @@ def _cmd_shift_mme(args) -> int:
 
 def _cmd_shift_spr(args) -> int:
     g = _graph(args)
-    if args.horizon < 8:
-        raise UsageError(f"--horizon must be >= 8 for a radius estimate, got {args.horizon}")
     census = count_loops(g, args.horizon)
     report = is_spr(census, margin=args.margin)
     _emit(
@@ -265,8 +261,6 @@ def _cmd_shift_spr(args) -> int:
 
 def _cmd_shift_fix_count(args) -> int:
     g = _graph(args)
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
     count = shift_periodic_census(g, args.p)
     _emit(args, {"p": args.p, "count": count})
     return 0
@@ -275,11 +269,6 @@ def _cmd_shift_fix_count(args) -> int:
 def _cmd_shift_equidist(args) -> int:
     g = _graph(args)
     cyl = CylinderWord(tuple(args.cylinder.split(",")))
-    for v in cyl.word:
-        if v not in g.vertices:
-            raise UsageError(f"--cylinder vertex {v!r} is not a vertex of {args.graph}")
-    if args.p < len(cyl):
-        raise UsageError(f"--p {args.p} is shorter than the --cylinder word")
     chain = build_mme(perron(g), g)
     comp = equidistribution_cylinder(g, args.p, cyl, chain)
     diff = abs(comp.empirical - comp.mme)
@@ -305,8 +294,6 @@ def _cmd_shift_equidist(args) -> int:
 
 def _cmd_orbits_census(args) -> int:
     m = _map_from_args(args)
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
     c = periodic_orbits_2d(
         m, args.p, grid=_parse_grid(args.grid), tol=args.tol,
         refine_check=args.refine_check,
@@ -325,11 +312,6 @@ def _cmd_orbits_census(args) -> int:
 
 def _cmd_orbits_entropy(args) -> int:
     m = _map_from_args(args)
-    if args.p_min < 1:
-        raise UsageError(f"--p-min must be >= 1, got {args.p_min}")
-    if args.p_max < args.p_min + 2:
-        raise UsageError(
-            f"--p-max must be >= --p-min + 2 (the fit needs 3 periods), got {args.p_max}")
     censuses = [
         periodic_orbits_2d(m, p, grid=_parse_grid(args.grid), tol=args.tol)
         for p in range(args.p_min, args.p_max + 1)
@@ -341,13 +323,8 @@ def _cmd_orbits_entropy(args) -> int:
 
 def _cmd_orbits_equidist(args) -> int:
     m = _map_from_args(args)
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
     if args.b == 0.0 and args.perturbation == "zero":
-        try:
-            points = fixed_points_1d(args.a, args.p)
-        except ValueError as e:  # --p or --a outside the 1-D census domain
-            raise UsageError(str(e)) from e
+        points = fixed_points_1d(args.a, args.p)
     else:
         points = periodic_orbits_2d(m, args.p, grid=_parse_grid(args.grid), tol=args.tol)
     rep = equidistribution_test(points, statistic=args.statistic)
@@ -362,8 +339,6 @@ def _cmd_orbits_equidist(args) -> int:
 
 
 def _cmd_stats_mixing(args) -> int:
-    if args.n < 1 or args.n_max < 1:
-        raise UsageError(f"--n and --n-max must be >= 1, got {args.n} and {args.n_max}")
     mu = sample_mme_1d(args.kind, args.n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     fit = covariance_decay(m, mu, _observable(args.g), _observable(args.obs_h), args.n_max)
@@ -383,10 +358,6 @@ def _cmd_stats_mixing(args) -> int:
 
 
 def _cmd_stats_clt(args) -> int:
-    if args.trials < 500:
-        raise UsageError(f"--trials must be >= 500, got {args.trials}")
-    if args.n < 1 or args.sample_n < 1:
-        raise UsageError(f"--n and --sample-n must be >= 1, got {args.n} and {args.sample_n}")
     mu = sample_mme_1d(args.kind, args.sample_n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     if args.psi == "coboundary":
@@ -404,20 +375,20 @@ def _cmd_stats_clt(args) -> int:
 
 def _cmd_stats_boxdim(args) -> int:
     if (args.points is None) == (args.set is None):
-        raise UsageError("exactly one of --points or --set is required")
+        raise ValueError("exactly one of --points or --set is required")
     if args.points is not None:
         try:
             pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
         except (OSError, ValueError) as e:
-            raise UsageError(f"cannot read points from {args.points}: {e}") from e
+            raise ValueError(f"cannot read points from {args.points}: {e}") from e
         if not np.isfinite(pts).all():
-            raise UsageError(
+            raise ValueError(
                 f"cannot read points from {args.points}: non-finite coordinate")
     else:
         if args.seed is None:
-            raise UsageError("--seed is required with --set")
+            raise ValueError("--seed is required with --set")
         if args.n < 1:
-            raise UsageError(f"--n must be >= 1, got {args.n}")
+            raise ValueError(f"--n must be >= 1, got {args.n}")
         maker = {"segment": segment_sample, "square": square_sample,
                  "cantor": cantor_sample}[args.set]
         pts = maker(args.n, args.seed)
@@ -425,9 +396,7 @@ def _cmd_stats_boxdim(args) -> int:
         try:
             scales = [float(t) for t in args.scales.split(",")]
         except ValueError as e:
-            raise UsageError(f"--scales expects comma-separated numbers: {e}") from e
-        if not all(math.isfinite(s) and s > 0 for s in scales):
-            raise UsageError(f"--scales must be finite and positive, got {args.scales!r}")
+            raise ValueError(f"--scales expects comma-separated numbers: {e}") from e
     elif args.set == "cantor":
         scales = [3.0**-k for k in range(1, 11)]
     else:
@@ -446,11 +415,7 @@ def _cmd_stats_boxdim(args) -> int:
 
 def _cmd_stats_return_decay(args) -> int:
     if (args.graph is None) == (args.model is None):
-        raise UsageError("exactly one of --graph or --model is required")
-    # a loop census needs one step, a synthetic one two, a radius estimate 8
-    least = 1 if args.graph else 2 if args.h_top is not None else 8
-    if args.horizon < least:
-        raise UsageError(f"--horizon must be >= {least} here, got {args.horizon}")
+        raise ValueError("exactly one of --graph or --model is required")
     if args.graph:
         g = _graph(args)
         census = count_loops(g, args.horizon)
@@ -618,11 +583,11 @@ def _config_flags(leaf: argparse.ArgumentParser, path: str) -> list[str]:
     store_true entries and null entries are left out."""
     cfg = _load_json_file(path)
     if not isinstance(cfg, dict):
-        raise UsageError("--config file must hold a JSON object")
+        raise ValueError("--config file must hold a JSON object")
     actions = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
     unknown = sorted(k for k in cfg if k not in actions)
     if unknown:
-        raise UsageError(f"--config has unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"--config has unknown keys: {', '.join(unknown)}")
     flags = []
     for k, v in cfg.items():
         if v is None:
@@ -631,7 +596,7 @@ def _config_flags(leaf: argparse.ArgumentParser, path: str) -> list[str]:
         if actions[k].nargs != 0:
             flags.append(f"{flag}={v}")
         elif not isinstance(v, bool):
-            raise UsageError(f"--config key {k} must be true or false, got {v!r}")
+            raise ValueError(f"--config key {k} must be true or false, got {v!r}")
         elif v:
             flags.append(flag)
     return flags
@@ -660,15 +625,13 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "perturbation", "unset") is None:
             args.perturbation = "classical" if args.b != 0.0 else "zero"
         return args.func(args)
-    except UsageError as e:
-        print(f"henonshift: error: {e}", file=sys.stderr)
-        return 1
-    except (NotStronglyConnectedError, ConvergenceError, RuntimeError, OverflowError) as e:
+    # LinAlgError is a ValueError that numpy raises inside an analysis
+    except (AnalysisError, np.linalg.LinAlgError, RuntimeError, OverflowError) as e:
         print(f"henonshift: analysis failed: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
-        print(f"henonshift: analysis failed: {e}", file=sys.stderr)
-        return 2
+        print(f"henonshift: error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

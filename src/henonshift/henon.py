@@ -25,6 +25,7 @@ from .params import Params
 __all__ = [
     "HenonMap",
     "ConeField",
+    "horizontal_cone",
     "OrbitSegment",
     "TangentProduct",
     "map_from_dict",
@@ -66,6 +67,8 @@ class HenonMap:
     def __post_init__(self) -> None:
         if self.perturbation not in _PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"a and b must be finite, got a = {self.a}, b = {self.b}")
         if self.b < 0:
             raise ValueError("b must be >= 0")
         if self.perturbation == "custom" and (
@@ -194,8 +197,9 @@ class ConeField:
         return self.angle_to(u) <= self.half_angle
 
 
-def horizontal_cone(half_angle: float = 0.5) -> ConeField:
-    return ConeField((1.0, 0.0), half_angle)
+def horizontal_cone() -> ConeField:
+    """The cone of half-angle 0.5 about the horizontal direction."""
+    return ConeField((1.0, 0.0), 0.5)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ __all__ = [
     "SpectralData",
     "MaxEntropyChain",
     "CylinderWord",
+    "AnalysisError",
     "NotStronglyConnectedError",
     "ConvergenceError",
     "count_loops",
@@ -48,7 +49,11 @@ __all__ = [
 ]
 
 
-class NotStronglyConnectedError(ValueError):
+class AnalysisError(ValueError):
+    """The input is valid, but the analysis cannot produce a result."""
+
+
+class NotStronglyConnectedError(AnalysisError):
     """Raised when an operation needs strong connectivity and the graph
     lacks it; names one vertex pair with no connecting path."""
 
@@ -445,7 +450,7 @@ def graph_period(graph: MarkovGraph) -> int:
     depth = np.array(forward, dtype=np.intp)
     g = int(np.gcd.reduce(depth[graph._src] + 1 - depth[graph._dst]))
     if g == 0:
-        raise ValueError("graph has no cycle; period undefined")
+        raise AnalysisError("graph has no cycle; period undefined")
     return g
 
 
@@ -461,8 +466,11 @@ def is_mixing(graph: MarkovGraph) -> bool:
 # spectral data and the chain
 
 
+_MAX_PRODUCTS = 500_000
+
+
 def _power_iteration(
-    matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iter: int = 500_000
+    matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float
 ) -> tuple[float, np.ndarray, float]:
     """Dominant eigenpair of a nonnegative n x n matrix, given as its
     product with a vector, by power iteration with Krylov restarts.
@@ -477,7 +485,8 @@ def _power_iteration(
     - 32: up to 32 vertices the Arnoldi space is the whole space and one
       restart yields the Perron pair to rounding; above that it caps the
       restart at 33 n floats and O(32^2 n) Gram-Schmidt work.
-    max_iter bounds every product with the matrix, the restarts' included.
+    _MAX_PRODUCTS bounds every product with the matrix, the restarts'
+    included.
     """
     k = min(n, 32)
     v = np.full(n, 1.0 / n)
@@ -486,12 +495,12 @@ def _power_iteration(
     residual = math.inf
     checked = math.inf  # residual at the last window check
     it = steps = 0
-    while it < max_iter:
+    while it < _MAX_PRODUCTS:
         it += 1
         steps += 1
         norm = float(np.abs(w).sum())
         if norm == 0.0:
-            raise ValueError("matrix annihilated a positive vector; graph is degenerate")
+            raise AnalysisError("matrix annihilated a positive vector; graph is degenerate")
         v_next = w / norm
         lam = float(v @ w) / float(v @ v)
         # A v_next is both this step's residual and the next step's product
@@ -506,7 +515,7 @@ def _power_iteration(
                 w = matvec(v)
                 it += used + 1
             checked, steps = residual, 0
-    raise ConvergenceError(residual, max_iter)
+    raise ConvergenceError(residual, _MAX_PRODUCTS)
 
 
 def _krylov_restart(
@@ -552,7 +561,10 @@ def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
     Periodic graphs are handled with the delta = 1 spectral shift: the
     iteration runs on M + I, whose Perron vector coincides with M's, and
     delta is subtracted from the eigenvalue and documented in the output.
+    tol must be finite and > 0.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     delta = 0.0 if graph_period(graph) == 1 else 1.0
     n = graph.n
     loops = np.arange(n if delta else 0, dtype=np.intp)  # the loops of M + delta I
@@ -563,7 +575,7 @@ def perron(graph: MarkovGraph, tol: float = 1e-12) -> SpectralData:
     # normalize: alpha unit 1-norm already; scale beta so <alpha, beta> = 1
     scale = float(alpha @ beta)
     if scale <= 0:
-        raise ValueError("eigenvector pairing degenerate; graph may be reducible")
+        raise AnalysisError("eigenvector pairing degenerate; graph may be reducible")
     beta = beta / scale
     residual = float(
         max(
@@ -578,7 +590,7 @@ def gurevich_entropy(graph: MarkovGraph) -> float:
     """log of the dominant adjacency eigenvalue (= -log R for the census)."""
     spec = perron(graph, tol=1e-13)
     if spec.lam <= 0:
-        raise ValueError("dominant eigenvalue must be positive")
+        raise AnalysisError("dominant eigenvalue must be positive")
     return math.log(spec.lam)
 
 
@@ -594,7 +606,7 @@ def build_mme(spec: SpectralData, graph: MarkovGraph) -> MaxEntropyChain:
     tiny = 1e-300
     for i, v in enumerate(graph.vertices):
         if alpha[i] <= tiny or beta[i] <= tiny:
-            raise ValueError(
+            raise AnalysisError(
                 f"eigenvector vanishes at reachable vertex {v!r}; graph is reducible"
             )
     p = np.zeros((graph.n, graph.n))
@@ -651,7 +663,7 @@ def equidistribution_cylinder(
         raise ValueError("period shorter than the cylinder word")
     total = shift_periodic_census(graph, p)
     if total == 0:
-        raise ValueError(f"Fix sigma^{p} is empty for this graph")
+        raise AnalysisError(f"Fix sigma^{p} is empty for this graph")
     for u, v in zip(cyl.word, cyl.word[1:]):
         if (u, v) not in graph.arrows:
             return CylinderComparison(empirical=0.0, mme=0.0)

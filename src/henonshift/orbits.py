@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .henon import HenonMap, _chain_rule, _orbit_batch
+from .markov import AnalysisError
 from .stats import _ks_distance
 
 __all__ = [
@@ -192,9 +193,10 @@ class PeriodicCensus:
     stable: bool | None = None
 
 
-def _newton_batch(
-    m: HenonMap, seeds: np.ndarray, p: int, tol: float, max_iter: int = 100
-) -> np.ndarray:
+_NEWTON_STEPS = 100
+
+
+def _newton_batch(m: HenonMap, seeds: np.ndarray, p: int, tol: float) -> np.ndarray:
     """Damped Newton for f^p(z) = z on all seeds at once; returns the
     converged points (unfiltered for duplicates).
 
@@ -204,7 +206,7 @@ def _newton_batch(
     """
     Z = np.array(seeds, dtype=float)
     rows, z = np.arange(len(Z)), Z.T.copy()  # z holds the active seeds' x and y
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if not len(rows):
             break
         x, y = z
@@ -293,10 +295,13 @@ def periodic_orbits_2d(
     singular are flagged non-hyperbolic but kept.  refine_check doubles
     the grid and reports whether the count was stable; both grids run in
     one Newton batch, since every seed's iteration is its own.  An explicit
-    seed array has no doubled grid, so it cannot take refine_check.
+    seed array has no doubled grid, so it cannot take refine_check.  tol
+    must be finite and > 0.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     if isinstance(grid, np.ndarray):
         if refine_check:
@@ -391,14 +396,14 @@ def entropy_from_census(
     if len(pairs) < 3:
         raise ValueError("need censuses for at least 3 periods")
     if any(n <= 0 for _, n in pairs):
-        raise ValueError("empty census (zero count) cannot enter the entropy fit")
+        raise AnalysisError("empty census (zero count) cannot enter the entropy fit")
     pairs.sort()
     ps = np.array([p for p, _ in pairs], dtype=float)
     logs = np.array([math.log(n) for _, n in pairs])
     slope, intercept = np.polyfit(ps, logs, 1)
     resid = float(np.sqrt(np.mean((logs - (slope * ps + intercept)) ** 2)))
     if slope > math.log(2.0) + 0.05:
-        raise ValueError(
+        raise AnalysisError(
             f"fitted growth rate {slope:.4f} exceeds log 2 + 0.05; "
             "census is overcounting"
         )
@@ -451,7 +456,7 @@ def equidistribution_test(
     """
     xs = _census_abscissas(census)
     if xs.size == 0:
-        raise ValueError("census holds no points")
+        raise AnalysisError("census holds no points")
 
     if callable(reference):
         cdf = reference

@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .henon import HenonMap
-from .markov import LoopCensus, MaxEntropyChain, build_mme, full_shift_graph, perron
+from .markov import (
+    AnalysisError,
+    LoopCensus,
+    MaxEntropyChain,
+    build_mme,
+    full_shift_graph,
+    perron,
+)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -427,6 +434,8 @@ def clt_test(
     """
     if trials < 500:
         raise ValueError("need at least 500 trials")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     f = _as_1d_map(m)
@@ -555,7 +564,7 @@ def _box_slope(table: list[tuple[float, int]], n: int) -> float:
     """box_dimension's slope fit on a box_count_table of n points."""
     usable = [(e, c) for e, c in table if 2 <= c <= max(4, n // 2)]
     if len(usable) < 3:
-        raise ValueError(
+        raise AnalysisError(
             f"only {len(usable)} usable scales (need >= 3); "
             "widen the scale range or add points"
         )

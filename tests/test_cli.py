@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from henonshift import cli, markov
@@ -194,6 +195,56 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
     assert out == ""
 
 
+_CENSUS = ["orbits", "census", "--a", "-2", "--p", "3"]
+_CLT = ["stats", "clt", "--seed", "1", "--sample-n", "1000", "--n", "16", "--alpha"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _CENSUS + ["--b", "-0.1"],
+        ["orbits", "entropy", "--a", "-2", "--p-max", "3", "--b", "-0.1"],
+        ["orbits", "equidist", "--a", "-2", "--p", "3", "--b", "-0.1"],
+        *(
+            head + ["--tol", tol]
+            for head in (["shift", "entropy", "--graph", "{golden}"],
+                         ["shift", "mme", "--graph", "{golden}"], _CENSUS)
+            for tol in ("0", "-1", "nan")
+        ),
+        ["orbits", "census", "--a", "nan", "--p", "2"],
+        ["orbits", "census", "--a", "inf", "--p", "2"],
+        ["orbits", "census", "--a", "-2", "--b", "inf", "--p", "2"],
+        _CLT + ["0"],
+        _CLT + ["2"],
+        _CLT + ["nan"],
+    ],
+    ids=" ".join,
+)
+def test_library_refusal_is_a_usage_error(tmp_path, capsys, argv):
+    # the CLI holds no copy of these checks: the library's ValueError exits 1
+    golden = _write(tmp_path, "golden.json", GOLDEN)
+    code = main([a.format(golden=golden) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("henonshift: error: ")
+
+
+@pytest.mark.parametrize(
+    ("exc", "code"), [("AnalysisError", 2), ("LinAlgError", 2), ("ValueError", 1)]
+)
+def test_main_maps_exceptions_to_exit_codes(tmp_path, capsys, monkeypatch, exc, code):
+    def verb(args):
+        raise {"AnalysisError": markov.AnalysisError, "LinAlgError": np.linalg.LinAlgError,
+               "ValueError": ValueError}[exc]("refused")
+
+    monkeypatch.setattr(cli, "_cmd_shift_fix_count", verb)
+    g = _write(tmp_path, "g.json", GOLDEN)
+    assert main(["shift", "fix-count", "--graph", g, "--p", "3"]) == code
+    kind = "analysis failed" if code == 2 else "error"
+    assert capsys.readouterr().err == f"henonshift: {kind}: refused\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["shift", "entropy"], ["stats", "return-decay", "--horizon", "40"]],
@@ -224,6 +275,22 @@ def test_shift_disconnected_graph_analysis_error(tmp_path, capsys):
     )
     code = main(["shift", "entropy", "--graph", g])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["orbits", "equidist", "--a", "0.3", "--p", "3"], "census holds no points"),
+        (_BOXDIM + ["0.5"], "only 1 usable scales"),
+    ],
+    ids=["orbits equidist", "stats boxdim"],
+)
+def test_valid_input_without_a_result_is_an_analysis_error(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"henonshift: analysis failed: {message}")
 
 
 # ---------------------------------------------------------------------------

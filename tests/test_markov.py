@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import henonshift
 from henonshift import markov
 from henonshift.markov import (
     CylinderWord,
@@ -261,6 +262,13 @@ def test_strong_connectivity_defect_names_pair():
     assert defect is not None
     with pytest.raises(NotStronglyConnectedError):
         perron(g)
+
+
+def test_analysis_errors_are_value_errors():
+    # callers that catch ValueError keep catching every analysis failure
+    assert issubclass(markov.AnalysisError, ValueError)
+    assert issubclass(NotStronglyConnectedError, markov.AnalysisError)
+    assert henonshift.AnalysisError is markov.AnalysisError
 
 
 def test_perron_searches_connectivity_once(monkeypatch):
