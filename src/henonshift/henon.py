@@ -55,14 +55,20 @@ class HenonMap:
 
     perturbation "zero" gives the 1-D quadratic family on R x {0};
     "classical" is B = (0, b x) (det = -b everywhere); "custom" takes
-    explicit callables for B and its Jacobian.
+    callables custom_B(x, y) -> (bx, by) and custom_dB(x, y) ->
+    ((e00, e01), (e10, e11)) (or a (2, 2) or (2, 2, n) array) that follow
+    numpy broadcasting: x, y are floats or arrays of one shape, and each
+    entry is a float or an array that broadcasts to x.  B = (0, eps sin x) is
+        custom_B=lambda x, y: (0.0, eps * np.sin(x)),
+        custom_dB=lambda x, y: ((0.0, 0.0), (eps * np.cos(x), 0.0)),
+    and a callable that does not broadcast, such as math.sin, raises ValueError.
     """
 
     a: float
     b: float = 0.0
     perturbation: str = "zero"
-    custom_B: Callable[[float, float], tuple[float, float]] | None = None
-    custom_dB: Callable[[float, float], np.ndarray] | None = None
+    custom_B: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+    custom_dB: Callable[[np.ndarray, np.ndarray], tuple | np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.perturbation not in _PERTURBATIONS:
@@ -71,78 +77,67 @@ class HenonMap:
             raise ValueError(f"a and b must be finite, got a = {self.a}, b = {self.b}")
         if self.b < 0:
             raise ValueError("b must be >= 0")
-        if self.perturbation == "custom" and (
-            self.custom_B is None or self.custom_dB is None
-        ):
+        if self.perturbation == "custom" and None in (self.custom_B, self.custom_dB):
             raise ValueError("custom perturbation needs custom_B and custom_dB")
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
+    # apply, _jac_entries and second_derivative_norm take floats or arrays
+    # x, y; what is the same at every point comes back as a float.
+
+    def apply(self, x, y) -> tuple:
+        """The coordinates of f at the points (x, y)."""
         if self.perturbation == "zero":
             return (x * x + self.a + y, 0.0)
         if self.perturbation == "classical":
             return (x * x + self.a + y, self.b * x)
-        bx, by = self.custom_B(x, y)
+        bx, by = _broadcasting(self.custom_B, x, y)
         return (x * x + self.a + y + bx, by)
 
     def step(self, Z: np.ndarray) -> np.ndarray:
         """f at every row of an (n, 2) array, as (n, 2)."""
-        return np.array(self._step(Z[:, 0], Z[:, 1])).T
+        F = np.empty((len(Z), 2))
+        F[:, 0], F[:, 1] = self.apply(Z[:, 0], Z[:, 1])
+        return F
 
     def jac(self, Z: np.ndarray) -> np.ndarray:
         """Tf at every row of an (n, 2) array, as (n, 2, 2)."""
         J = np.empty((len(Z), 2, 2))
-        for i, row in enumerate(self._jac_entries(Z[:, 0], Z[:, 1])):
-            for j, d in enumerate(row):
-                J[:, i, j] = d
+        (J[:, 0, 0], J[:, 0, 1]), (J[:, 1, 0], J[:, 1, 1]) = self._jac_entries(Z[:, 0], Z[:, 1])
         return J
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         return self.jac(np.array([[x, y]], dtype=float))[0]
 
-    # step and jac work on coordinate arrays x, y of length n: every
-    # elementwise operation then runs over contiguous memory.
-
-    def _step(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates of f at the points (x, y)."""
-        if self.perturbation == "custom":
-            bx, by = self._custom_rows(self.custom_B, x, y, 2)
-            return x * x + self.a + y + bx, by
-        second = self.b * x if self.perturbation == "classical" else np.zeros(len(x))
-        return x * x + self.a + y, second
-
-    def _jac_entries(self, x: np.ndarray, y: np.ndarray) -> tuple[tuple, tuple]:
-        """The entries ((d00, d01), (d10, d11)) of Tf at the points (x, y).
-
-        An entry that is the same at every point is a float, the others
-        are arrays: a chain rule over many points then costs no more than
-        the closed form of a built-in map.
-        """
+    def _jac_entries(self, x, y) -> tuple[tuple, tuple]:
+        """The entries ((d00, d01), (d10, d11)) of Tf at the points (x, y);
+        float entries keep a chain rule as cheap as a built-in's closed form."""
         d00 = 2.0 * x
         if self.perturbation == "custom":
-            e00, e01, e10, e11 = self._custom_rows(self.custom_dB, x, y, 4)
+            (e00, e01), (e10, e11) = _broadcasting(self.custom_dB, x, y)
             return (d00 + e00, 1.0 + e01), (e10, e11)
         return (d00, 1.0), (self.b if self.perturbation == "classical" else 0.0, 0.0)
 
-    @staticmethod
-    def _custom_rows(fn: Callable, x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
-        """A scalar callable of (x, y) at every point, flattened to width
-        entries, as a (width, n) array."""
-        out = np.array([fn(u, v) for u, v in zip(x.tolist(), y.tolist())], dtype=float)
-        return out.reshape(len(x), width).T
-
-    def second_derivative_norm(self, x: float, y: float) -> float:
-        """Operator norm of the second derivative (2 for the built-ins)."""
+    def second_derivative_norm(self, x, y):
+        """Operator norm of the second derivative at the points (x, y): 2
+        for the built-ins, 2 plus the largest central second difference of
+        B over three directions for a custom map."""
         if self.perturbation != "custom":
             return 2.0
-        # central second differences of the custom part, worst direction
         h = 1e-5
+        cx, cy = _broadcasting(self.custom_B, x, y)
         worst = 0.0
         for ux, uy in ((1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5))):
-            p = np.array(self.custom_B(x + h * ux, y + h * uy))
-            m = np.array(self.custom_B(x - h * ux, y - h * uy))
-            c = np.array(self.custom_B(x, y))
-            worst = max(worst, float(np.linalg.norm(p + m - 2 * c)) / h**2)
+            px, py = _broadcasting(self.custom_B, x + h * ux, y + h * uy)
+            mx, my = _broadcasting(self.custom_B, x - h * ux, y - h * uy)
+            worst = np.maximum(worst, np.hypot(px + mx - 2 * cx, py + my - 2 * cy) / h**2)
         return 2.0 + worst
+
+
+def _broadcasting(fn: Callable, x, y):
+    """fn(x, y) for a custom callable, which must follow numpy broadcasting."""
+    try:
+        return fn(x, y)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"custom_B and custom_dB must follow numpy broadcasting: {exc}") from exc
 
 
 def map_from_dict(data: dict) -> HenonMap:
@@ -241,7 +236,7 @@ def _chain_rule(m: HenonMap, x: np.ndarray, y: np.ndarray, p: int) -> Iterator[t
         # J <- Tf(z_{k-1}) @ J, one row of J at a time
         (d00, d01), (d10, d11) = m._jac_entries(x, y)
         r0, r1 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1
-        x, y = m._step(x, y)
+        x, y = m.apply(x, y)
         yield k, x, y, r0, r1
 
 
@@ -514,7 +509,7 @@ def check_G6(
     Z = np.array([(float(z[0]), float(z[1])) for z in sample]).reshape(-1, 2)
     norms = np.linalg.norm(m.jac(Z), 2, axis=(1, 2))
     sup1 = float(norms.max(initial=0.0))
-    sup2 = max((m.second_derivative_norm(x, y) for x, y in Z.tolist()), default=0.0)
+    sup2 = float(np.broadcast_to(m.second_derivative_norm(*Z.T), len(Z)).max(initial=0.0))
     return G6Report(
         sup_Tf=sup1,
         sup_T2f=sup2,

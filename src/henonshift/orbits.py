@@ -181,8 +181,8 @@ class PeriodicCensus:
 
     count_fix counts points of Fix f^p (each orbit contributes its least
     period); points holds all of them.  stable records whether a doubled
-    seed grid found the same count (completeness heuristic: the census is
-    a certified lower bound, never an upper one).
+    seed grid found the same count: a completeness heuristic that only
+    compares two grids, so nothing certifies count_fix.
     """
 
     p: int
@@ -312,10 +312,13 @@ def periodic_orbits_2d(
         if refine_check:
             nx, ny = grid
             seeds.append(_default_seed_grid(m, (2 * nx, 2 * ny if ny > 1 else 1)))
-    cands = np.split(_newton_batch(m, np.vstack(seeds), p, tol), [len(seeds[0])])
-    census = _accept(m, p, cands[0], tol)
-    if len(seeds) > 1:
-        census = replace(census, stable=_accept(m, p, cands[1], tol).count_fix == census.count_fix)
+    # seeds that escape overflow on the way; acceptance drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        cands = np.split(_newton_batch(m, np.vstack(seeds), p, tol), [len(seeds[0])])
+        census = _accept(m, p, cands[0], tol)
+        if len(seeds) > 1:
+            stable = _accept(m, p, cands[1], tol).count_fix == census.count_fix
+            census = replace(census, stable=stable)
     return census
 
 
@@ -331,7 +334,8 @@ def _accept(m: HenonMap, p: int, cands: np.ndarray, tol: float) -> PeriodicCensu
     # residual acceptance uses the backward error raw / max(1, norm)
     raw = {q: np.max(np.abs(orbs[:, q] - orbs[:, 0]), axis=1) for q in jacs}
     nrm = {q: np.max(np.sum(np.abs(J), axis=2), axis=1) for q, J in jacs.items()}
-    keep = np.nonzero(raw[p] <= tol * np.fmax(1.0, nrm[p]))[0]
+    # an escaped candidate has raw = nrm = inf, which the comparison alone keeps
+    keep = np.nonzero(np.isfinite(nrm[p]) & (raw[p] <= tol * np.fmax(1.0, nrm[p])))[0]
     cands, orbs = cands[keep], orbs[keep, :p]
 
     reps = _orbit_representatives(orbs, 10 * tol)

@@ -695,6 +695,20 @@ def test_module_entry_point(tmp_path):
     assert json.loads(r.stdout)["result"]["entropy"] == pytest.approx(0.4812118250596, abs=1e-9)
 
 
+def test_orbits_census_above_p_10_keeps_stderr_empty():
+    # escaping Newton seeds overflow; the census drops them without a warning
+    src = str(Path(markov.__file__).resolve().parents[1])  # the tree under test
+    r = subprocess.run(
+        [sys.executable, "-m", "henonshift.cli", "orbits", "census", "--a", "-2", "--p", "12"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert r.returncode == 0 and r.stderr == ""
+    assert 0 < json.loads(r.stdout)["result"]["count_fix"] <= 2**12
+
+
 _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

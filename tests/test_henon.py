@@ -101,6 +101,43 @@ def test_step_and_jac_are_the_scalar_map_on_every_row(kind):
     assert m.step(Z[:0]).shape == (0, 2) and m.jac(Z[:0]).shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_custom_twin_step_and_jac_equal_classical_to_the_bit(n):
+    classical = HenonMap(a=-1.4, b=0.3, perturbation="classical")
+    twin = _classical_twin(classical)
+    Z = np.random.default_rng(2).uniform(-2.0, 2.0, (n, 2))
+    assert twin.step(Z).tobytes() == classical.step(Z).tobytes()
+    assert twin.jac(Z).tobytes() == classical.jac(Z).tobytes()
+
+
+def test_apply_on_arrays_gives_a_float_for_a_constant_coordinate():
+    m = HenonMap(a=-1.4)
+    x, y = m.apply(np.array([0.5, 1.0]), np.array([0.0, 0.1]))
+    assert np.array_equal(x, [m.apply(0.5, 0.0)[0], m.apply(1.0, 0.1)[0]])
+    assert type(y) is float and y == 0.0
+
+
+@pytest.mark.parametrize(
+    "dB",
+    [
+        lambda x, y: ((0.0, 0.0), (-0.01 * math.sin(x), 0.0)),  # math on an array
+        lambda x, y: np.array([[0.0, 0.0], [-0.01 * np.sin(x), 0.0]]),  # ragged
+    ],
+)
+def test_custom_callable_that_does_not_broadcast_is_refused(dB):
+    m = HenonMap(
+        a=-1.4,
+        b=0.01,
+        perturbation="custom",
+        custom_B=lambda x, y: (0.0, 0.01 * math.cos(x)),
+        custom_dB=dB,
+    )
+    Z = np.full((3, 2), 0.5)
+    for call in (m.step, m.jac, lambda Z: check_G6(m, Z, Params(M=100))):
+        with pytest.raises(ValueError, match="numpy broadcasting"):
+            call(Z)
+
+
 def test_iterate_period_two_orbit():
     # x^2 - 1 swaps 0 and -1
     m = HenonMap(a=-1.0, b=0.0)
@@ -221,6 +258,16 @@ def test_g6_flags_violation_outside_region():
     assert rep.argmax == (4.0, 0.0)
 
 
+def test_g6_second_derivative_of_a_custom_map_over_the_whole_sample():
+    params = Params(M=100)
+    m = _square_kernel_map(-1.4)
+    sample = region_sample_U(m, params, 2000, seed=5)
+    rep = check_G6(m, sample, params)
+    # B = (0, 0.05 x^2) has |D^2 B| = 0.1 in the direction (1, 0)
+    assert rep.sup_T2f == max(m.second_derivative_norm(x, y) for x, y in sample.tolist())
+    assert rep.sup_T2f == pytest.approx(2.1, abs=1e-4)
+
+
 def test_g4_expansion_near_right_end():
     params = Params(M=100)
     m = HenonMap(a=-2.0, b=0.0)
@@ -288,7 +335,7 @@ def _square_kernel_map(a):
         b=0.05,
         perturbation="custom",
         custom_B=lambda x, y: (0.0, 0.05 * x * x),
-        custom_dB=lambda x, y: np.array([[0.0, 0.0], [0.1 * x, 0.0]]),
+        custom_dB=lambda x, y: ((0.0, 0.0), (0.1 * x, 0.0)),
     )
 
 

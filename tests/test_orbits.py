@@ -318,17 +318,41 @@ def test_census_2d_seed_array_refuses_refine_check():
         periodic_orbits_2d(m, 3, grid=seeds, refine_check=True)
 
 
-def test_census_2d_custom_perturbation_scalar_path():
+def test_census_2d_custom_perturbation_broadcasting_callables():
     eps = 1e-7
     m = HenonMap(
         a=-2.0,
         b=0.0,
         perturbation="custom",
-        custom_B=lambda x, y: (eps * math.sin(x), eps * x),
-        custom_dB=lambda x, y: np.array([[eps * math.cos(x), 0.0], [eps, 0.0]]),
+        custom_B=lambda x, y: (eps * np.sin(x), eps * x),
+        custom_dB=lambda x, y: ((eps * np.cos(x), 0.0), (eps, 0.0)),
     )
     census = periodic_orbits_2d(m, 4)
     assert census.count_fix == 16
+
+
+@pytest.mark.parametrize(
+    "a, b, p, grid",
+    [
+        (-2.0, 0.0, 11, (256, 8)),
+        (-2.0, 0.0, 12, (256, 8)),
+        (-2.0, 0.0, 12, (1024, 8)),
+        (-1.9, 0.01, 11, (256, 8)),
+        (-1.999, 1e-6, 13, (256, 8)),
+    ],
+)
+def test_census_2d_drops_escaped_candidates(a, b, p, grid):
+    # above p = 10 some Newton candidates escape on the way round: their
+    # closing residual and Tf^p norm are both inf, and they must not count
+    m = HenonMap(a=a, b=b, perturbation="classical" if b else "zero")
+    census = periodic_orbits_2d(m, p, grid=grid)
+    assert 0 < census.count_fix <= 2**p
+    assert np.isfinite(census.points).all()
+    assert all(np.isfinite(o.multipliers).all() for o in census.orbits)
+    if a == -2.0:  # every point is one of the angle oracle's
+        oracle = chebyshev_fixed_points(p)
+        assert np.abs(census.points[:, None, 0] - oracle).min(axis=1).max() < 1e-9
+        assert not census.points[:, 1].any()
 
 
 def test_census_2d_explicit_seed_array():
