@@ -33,6 +33,7 @@ from .henon import HenonMap
 from .markov import (
     AnalysisError,
     CylinderWord,
+    _check_cylinder,
     build_mme,
     chain_entropy,
     count_loops,
@@ -46,6 +47,7 @@ from .markov import (
 from .orbits import (
     _CENSUS_CSV_HEADER,
     _census_csv_rows,
+    _check_fit_periods,
     entropy_from_census,
     equidistribution_test,
     fixed_points_1d,
@@ -269,6 +271,7 @@ def _cmd_shift_fix_count(args) -> int:
 def _cmd_shift_equidist(args) -> int:
     g = _graph(args)
     cyl = CylinderWord(tuple(args.cylinder.split(",")))
+    _check_cylinder(g, args.p, cyl)
     chain = build_mme(perron(g), g)
     comp = equidistribution_cylinder(g, args.p, cyl, chain)
     diff = abs(comp.empirical - comp.mme)
@@ -311,6 +314,7 @@ def _cmd_orbits_census(args) -> int:
 
 
 def _cmd_orbits_entropy(args) -> int:
+    _check_fit_periods(args.p_max - args.p_min + 1)
     m = _map_from_args(args)
     censuses = [
         periodic_orbits_2d(m, p, grid=_parse_grid(args.grid), tol=args.tol)

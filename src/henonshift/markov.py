@@ -269,22 +269,27 @@ class CylinderWord:
 # loop censuses
 
 
-def _walker(graph: MarkovGraph) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The exact path-count recursion: walk(vec, k) advances every row of
-    walk counts (indexed by end vertex) by k arrows, summing over the
-    in-arrows of each vertex.  Rows stay int64 while no sum can reach 2^63
-    and become exact Python ints after that."""
-    order = np.argsort(graph._dst, kind="stable")
-    src = graph._src[order]
-    targets, starts = np.unique(graph._dst[order], return_index=True)
-    max_in = int(np.diff(starts, append=len(src)).max(initial=0))
+def _walker(src: np.ndarray, dst: np.ndarray) -> Callable[[np.ndarray, int, int], np.ndarray]:
+    """The exact path-count recursion over the arrows (src, dst):
+    walk(vec, k, m) advances every row of walk counts (indexed by end
+    vertex) by k arrows into the vertices below m, summing over the
+    in-arrows of each; their sources must be columns of vec, so k > 1
+    needs m = the width of vec.  Rows stay int64 while no sum can reach
+    2^63 and become exact Python ints after that."""
+    order = np.argsort(dst, kind="stable")
+    src = src[order]
+    targets, starts = np.unique(dst[order], return_index=True)
+    ends = np.append(starts, len(src))
+    max_in = int(np.diff(ends).max(initial=0))
 
-    def walk(vec: np.ndarray, k: int) -> np.ndarray:
+    def walk(vec: np.ndarray, k: int, m: int) -> np.ndarray:
+        j = int(targets.searchsorted(m))  # the targets below m
+        into, first, sources = targets[:j], starts[:j], src[: ends[j]]
         for _ in range(k):
             if vec.dtype != object and int(vec.max()) * max_in >= 2**63:
                 vec = vec.astype(object)
-            nxt = np.zeros_like(vec)
-            nxt[:, targets] = np.add.reduceat(vec[:, src], starts, axis=1)
+            nxt = np.zeros((len(vec), m), dtype=vec.dtype)
+            nxt[:, into] = np.add.reduceat(vec[:, sources], first, axis=1)
             vec = nxt
         return vec
 
@@ -296,24 +301,37 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
 
     Z_n via the path-count recursion from the base; Z*_n via the same
     recursion on paths forbidden to revisit the base before time n.  Both
-    advance together as the rows of one (2, n) array under _walker.
+    advance together as the rows of one (2, m) array under _walker.
+
+    With k steps left, a count more than k arrows from the base cannot
+    close a loop, so the walk keeps only the vertices within reach: one
+    reverse BFS capped at N renumbers them by distance to the base, base
+    first, and the step with k steps left advances the prefix within
+    distance k (its arrows come from the previous prefix).  The cost
+    follows the horizon, not the number of vertices.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    b = graph._idx[graph.base]
-    walk = _walker(graph)
+    depth = _bfs_depths(graph, reverse=True, cap=N)
+    pos = np.full(graph.n, -1, dtype=np.intp)
+    pos[list(depth)] = np.arange(len(depth))
+    src, dst = pos[graph._src], pos[graph._dst]
+    keep = (src >= 0) & (dst >= 0)
+    walk = _walker(src[keep], dst[keep])
+    # within[k]: the number of vertices within k arrows of the base
+    within = np.searchsorted(list(depth.values()), np.arange(N), side="right").tolist()
 
     # row 0 counts all paths from the base, row 1 those that avoid the base
     # strictly between the endpoints
-    vec = np.zeros((2, graph.n), dtype=np.int64)
-    vec[:, b] = 1
+    vec = np.zeros((2, len(depth)), dtype=np.int64)
+    vec[:, 0] = 1
     Z: list[int] = []
     Zstar: list[int] = []
-    for _ in range(N):
-        vec = walk(vec, 1)
-        Z.append(int(vec[0, b]))
-        Zstar.append(int(vec[1, b]))
-        vec[1, b] = 0  # loops already closed may not continue
+    for k in range(N - 1, -1, -1):  # k steps left after this one
+        vec = walk(vec, 1, within[k])
+        Z.append(int(vec[0, 0]))
+        Zstar.append(int(vec[1, 0]))
+        vec[1, 0] = 0  # loops already closed may not continue
 
     return LoopCensus(base=graph.base, horizon=N, Z=tuple(Z), Zstar=tuple(Zstar))
 
@@ -399,35 +417,44 @@ def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:
 # connectivity / periodicity
 
 
-def _bfs_depths(graph: MarkovGraph, reverse: bool = False) -> list[int]:
-    """Path length from the base to every vertex (to the base, when
-    reverse); -1 where there is no path."""
-    src, dst = (graph._dst, graph._src) if reverse else (graph._src, graph._dst)
-    succ: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succ[u].append(v)
-    start = graph._idx[graph.base]
-    depth = [-1] * graph.n
-    depth[start] = 0
-    queue = deque([start])
+def _bfs_depths(
+    graph: MarkovGraph, reverse: bool = False, cap: float = math.inf
+) -> dict[int, int]:
+    """Path length, at most cap, from the base to each vertex it reaches
+    (to the base from each vertex, when reverse), keyed in breadth-first
+    order; the arrows out of (into) a vertex are one slice of the index
+    arrays sorted by source (by target)."""
+    key, nbr = graph._src, graph._dst
+    if reverse:
+        order = np.argsort(nbr, kind="stable")
+        key, nbr = nbr[order], key[order]
+    starts = np.searchsorted(key, np.arange(graph.n + 1)).tolist()
+    nbr = nbr.tolist()
+    b = graph._idx[graph.base]
+    depth = {b: 0}
+    queue = deque([b])
     while queue:
         u = queue.popleft()
-        for v in succ[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
+        d = depth[u] + 1
+        if d > cap:
+            break
+        for v in nbr[starts[u] : starts[u + 1]]:
+            if v not in depth:
+                depth[v] = d
                 queue.append(v)
     return depth
 
 
-def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, list[int]]:
+def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, dict[int, int]]:
     """strongly_connected_defect and the forward BFS depths it searched;
     the reverse search runs only when the base reaches every vertex."""
     depth = _bfs_depths(graph)
-    for v, d in zip(graph.vertices, depth):
-        if d < 0:
+    for i, v in enumerate(graph.vertices):
+        if i not in depth:
             return (graph.base, v), depth
-    for v, d in zip(graph.vertices, _bfs_depths(graph, reverse=True)):
-        if d < 0:
+    back = _bfs_depths(graph, reverse=True)
+    for i, v in enumerate(graph.vertices):
+        if i not in back:
             return (v, graph.base), depth
     return None, depth
 
@@ -447,7 +474,8 @@ def graph_period(graph: MarkovGraph) -> int:
     defect, forward = _defect_and_depths(graph)
     if defect is not None:
         raise NotStronglyConnectedError(*defect)
-    depth = np.array(forward, dtype=np.intp)
+    depth = np.empty(graph.n, dtype=np.intp)
+    depth[list(forward)] = list(forward.values())
     g = int(np.gcd.reduce(depth[graph._src] + 1 - depth[graph._dst]))
     if g == 0:
         raise AnalysisError("graph has no cycle; period undefined")
@@ -636,13 +664,22 @@ def shift_periodic_census(graph: MarkovGraph, p: int) -> int:
     counted by one walk from each vertex."""
     if p < 1:
         raise ValueError("period must be >= 1")
-    walk, n = _walker(graph), graph.n
-    return sum(int(walk(np.eye(1, n, v, dtype=np.int64), p)[0, v]) for v in range(n))
+    walk, n = _walker(graph._src, graph._dst), graph.n
+    return sum(int(walk(np.eye(1, n, v, dtype=np.int64), p, n)[0, v]) for v in range(n))
 
 
 class CylinderComparison(NamedTuple):
     empirical: float
     mme: float
+
+
+def _check_cylinder(graph: MarkovGraph, p: int, cyl: CylinderWord) -> None:
+    """Refuse a cylinder word off the graph's vertices or longer than p."""
+    for v in cyl.word:
+        if v not in graph._idx:
+            raise ValueError(f"cylinder vertex {v!r} is not a vertex of the graph")
+    if p < len(cyl):
+        raise ValueError("period shorter than the cylinder word")
 
 
 def equidistribution_cylinder(
@@ -655,12 +692,8 @@ def equidistribution_cylinder(
     number of paths v_k -> v_0 of length p - k.  The uniform measure on
     Fix sigma^p is shift invariant, so every position gives the same mass.
     """
-    for v in cyl.word:
-        if v not in graph._idx:
-            raise ValueError(f"cylinder vertex {v!r} is not a vertex of the graph")
+    _check_cylinder(graph, p, cyl)
     k = len(cyl) - 1
-    if p < len(cyl):
-        raise ValueError("period shorter than the cylinder word")
     total = shift_periodic_census(graph, p)
     if total == 0:
         raise AnalysisError(f"Fix sigma^{p} is empty for this graph")
@@ -669,7 +702,7 @@ def equidistribution_cylinder(
             return CylinderComparison(empirical=0.0, mme=0.0)
     idx = graph._idx
     start = np.eye(1, graph.n, idx[cyl.word[-1]], dtype=np.int64)
-    count = int(_walker(graph)(start, p - k)[0, idx[cyl.word[0]]])
+    count = int(_walker(graph._src, graph._dst)(start, p - k, graph.n)[0, idx[cyl.word[0]]])
     empirical = count / total
     mme = chain.pi_of(cyl.word[0])
     for u, v in zip(cyl.word, cyl.word[1:]):

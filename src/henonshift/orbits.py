@@ -381,6 +381,12 @@ class EntropyEstimate:
     residual: float  # rms of the linear fit
 
 
+def _check_fit_periods(count: int) -> None:
+    """Refuse an entropy fit over fewer than 3 periods."""
+    if count < 3:
+        raise ValueError("need censuses for at least 3 periods")
+
+
 def entropy_from_census(
     censuses: Sequence[PeriodicCensus | tuple[int, int]],
 ) -> EntropyEstimate:
@@ -397,8 +403,7 @@ def entropy_from_census(
             pairs.append((c.p, c.count_fix))
         else:
             pairs.append((int(c[0]), int(c[1])))
-    if len(pairs) < 3:
-        raise ValueError("need censuses for at least 3 periods")
+    _check_fit_periods(len(pairs))
     if any(n <= 0 for _, n in pairs):
         raise AnalysisError("empty census (zero count) cannot enter the entropy fit")
     pairs.sort()

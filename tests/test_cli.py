@@ -293,6 +293,36 @@ def test_valid_input_without_a_result_is_an_analysis_error(capsys, argv, message
     assert err.startswith(f"henonshift: analysis failed: {message}")
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the analysis ran before the argument check")
+
+
+@pytest.mark.parametrize(
+    ("argv", "analysis", "message"),
+    [
+        # "b" cannot reach "a", so perron would fail first as an analysis
+        pytest.param(
+            ["shift", "equidist", "--graph", "{graph}", "--p", "3", "--cylinder", "zz"],
+            "perron", "cylinder vertex 'zz'", id="shift equidist",
+        ),
+        pytest.param(
+            ["orbits", "entropy", "--a", "-1.9", "--b", "0.01", "--p-min", "12", "--p-max", "13"],
+            "periodic_orbits_2d", "need censuses for at least 3 periods", id="orbits entropy",
+        ),
+    ],
+)
+def test_argument_refusal_precedes_the_analysis(tmp_path, capsys, monkeypatch,
+                                                argv, analysis, message):
+    graph = _write(tmp_path, "graph.json",
+                   {"vertices": ["a", "b"], "arrows": [["a", "b"], ["b", "b"]], "base": "a"})
+    monkeypatch.setattr(cli, analysis, _never_called)
+    code = main([a.format(graph=graph) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"henonshift: error: {message}")
+
+
 # ---------------------------------------------------------------------------
 # orbit commands
 

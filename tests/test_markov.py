@@ -193,6 +193,46 @@ def test_count_loops_equals_python_loop_reference():
         assert all(type(z) is int for z in census.Z + census.Zstar)
 
 
+def test_pruned_count_loops_equals_python_loop_reference():
+    # the census walks only the vertices within reach of the base: horizons
+    # shorter than the farthest return, vertices that never reach the base,
+    # a census of zeros, base self-loops and a graph with no arrows
+    ring = tuple(str(i) for i in range(5))
+    tail = ("t0", "t1", "t2")
+    with_tail = MarkovGraph(
+        ring + tail,
+        frozenset({(ring[i], ring[(i + 1) % 5]) for i in range(5)}
+                  | {("2", "t0"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0")}),
+        "0",
+    )
+    looped = MarkovGraph(("a", "b", "c"),
+                         frozenset({("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")}), "a")
+    cases = [
+        (renewal_shift(2000), 10),
+        (renewal_shift(2000), 64),
+        (with_tail, 40),
+        (cycle_graph(500), 100),
+        (looped, 30),
+        (self_loop_graph(), 12),
+        (MarkovGraph(("a", "b"), frozenset(), "a"), 5),
+    ]
+    for g, H in cases:
+        census = count_loops(g, H)
+        assert census == _count_loops_reference(g, H)
+        assert all(type(z) is int for z in census.Z + census.Zstar)
+    assert count_loops(cycle_graph(500), 100).Z == (0,) * 100
+
+
+def test_count_loops_on_a_hundred_thousand_vertices():
+    # closed form while the horizon stays below n: one first return of
+    # each length, so Z_k = 2^(k-1)
+    H = 300
+    census = count_loops(renewal_shift(100_000), H)
+    assert census.Zstar == (1,) * H
+    assert census.Z == tuple(2 ** (k - 1) for k in range(1, H + 1))
+    assert all(d == 0 for d in census.renewal_defect())
+
+
 def renewal_root(n: int) -> float:
     """lambda_n: the root in (1, 2] of sum_{k<=n} lambda^-k = 1, by bisection."""
     lo, hi = 1.0 + 1e-12, 2.0
