@@ -532,7 +532,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12,
                     help="Newton tolerance of the 2-D census; the 1-D census (b = 0) "
-                    "bisects to the end and reads no tolerance")
+                    "reads none: it sweeps to convergence for a <= -2, bisects above")
     sp.add_argument("--threshold", type=float, default=None)
     _add_common(sp)
 

@@ -1,16 +1,16 @@
 """Periodic-orbit censuses and entropy/equidistribution estimates.
 
-The 1-D branch (b = 0) finds all fixed points of the p-th iterate by
-bisecting the sign changes of a cosine-parametrized grid (roots cluster
-quadratically near the interval ends, uniformly in the angle), refined
-where a tangent root pair hides in one cell, and at a = -2 cross-checked
-against the exact angle family.  The 2-D branch runs one batched damped
-Newton per census from grid seeds (a refine check's doubled grid in the
-same batch), stops each seed at the scale of acceptance's backward error,
-accepts candidates in one array pass and deduplicates orbits over their
-points sorted by abscissa.  Entropy comes from the slope of log Card Fix
-f^p; equidistribution is tested against an analytic or sampled reference
-law.
+The 1-D branch (b = 0) finds all fixed points of the p-th iterate: for
+a <= -2 by backward sweeps of the inverse branches over all 2^p
+itineraries, above -2 by bisecting the sign changes of a
+cosine-parametrized grid (roots cluster quadratically near the interval
+ends, uniformly in the angle), refined where a tangent root pair hides in
+one cell.  The 2-D branch runs one batched damped Newton per census from
+grid seeds (a refine check's doubled grid in the same batch), stops each
+seed at the scale of acceptance's backward error, accepts candidates in
+one array pass and deduplicates orbits over their points sorted by
+abscissa.  Entropy comes from the slope of log Card Fix f^p;
+equidistribution is tested against an analytic or sampled reference law.
 """
 
 from __future__ import annotations
@@ -86,26 +86,27 @@ def _sign_changes(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def fixed_points_1d(a: float, p: int) -> np.ndarray:
-    """All real roots of f_a^p(x) - x, sorted, for -2 <= a.
+    """All real roots of f_a^p(x) - x, sorted, for finite a.
 
-    Brackets sign changes on a cosine grid x = beta cos(theta) (fine enough
+    For a <= -2 (the Chebyshev map at -2, a horseshoe below) each of the
+    2^p itineraries gives one root (_inverse_branch_census).  Above -2 this
+    brackets sign changes on a cosine grid x = beta cos(theta) (fine enough
     to separate the quadratically clustered roots near +-beta) and bisects
     each bracket to the end; a grid point where f^p(x) - x is exactly 0 is
-    a root as it stands.  Above a = 1/4 no point is periodic.  Below
-    a = -2 all 2^p itineraries are realized but the grid misses some, so
-    that domain is refused.  At a = -2 the count must match the angle
-    oracle, otherwise this raises.
+    a root as it stands.  Above a = 1/4 no point is periodic.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"1-D census needs a finite a, got a = {a}")
     if p < 1:
         raise ValueError("period must be >= 1")
     if p > 16:
         raise ValueError("1-D census capped at p = 16 (degree 2^p)")
-    if a < -2.0:
-        raise ValueError(f"1-D census needs a >= -2, got a = {a}")
     if a > 0.25:
         # f(x) - x = x^2 - x + a > 0 everywhere
         return np.empty(0)
-    beta = (1.0 + math.sqrt(1.0 - 4.0 * a)) / 2.0
+    beta = (1.0 + math.sqrt(1.0 - 4.0 * a)) / 2.0  # every root lies in [-beta, beta]
+    if a <= -2.0:
+        return _inverse_branch_census(a, p, beta)
     lo, hi = -beta - 1e-9, beta + 1e-9
 
     K = 32 * 2**p + 1
@@ -145,14 +146,36 @@ def fixed_points_1d(a: float, p: int) -> np.ndarray:
         right = np.where(take, mid, right)
         left = np.where(take, left, mid)
         fleft = np.where(take, fleft, fmid)
-    roots = np.sort(np.concatenate([0.5 * (left + right), exact]))
+    return np.sort(np.concatenate([0.5 * (left + right), exact]))
 
-    if a == -2.0 and roots.size != 2**p:
-        raise RuntimeError(
-            f"root census found {roots.size} points at a=-2, p={p}; "
-            f"angle oracle expects {2**p}"
-        )
-    return roots
+
+_SWEEP_CAP = 100
+
+
+def _inverse_branch_census(a: float, p: int, beta: float) -> np.ndarray:
+    """One root per word w in 0..2^p-1, sorted: the fixed point of the
+    inverse branches x <- s_k sqrt(x - a), k = p-1, ..., 0, s_k = -1 where
+    bit k of w is set, swept on all words until none moves by more than
+    5e-14 beta.  From x = 0 every iterate keeps |x| <= -a, so x - a is
+    never negative.  Far below -2 the roots of one long cylinder can lie
+    closer than float spacing and coincide.
+    """
+    tol = 5e-14 * beta  # 1e-13 at a = -2; absolute would stall on ulp(beta)
+    x = np.zeros(2**p)
+    for _ in range(_SWEEP_CAP):
+        prev = x.copy()
+        for k in range(p - 1, -1, -1):
+            np.subtract(x, a, out=x)
+            np.sqrt(x, out=x)
+            neg = x.reshape(-1, 2, 2**k)[:, 1]  # the words with bit k set, as a view
+            np.negative(neg, out=neg)
+        unsettled = np.count_nonzero(np.abs(x - prev) > tol)
+        if not unsettled:
+            return np.sort(x)
+    raise AnalysisError(
+        f"{unsettled} of {2**p} itineraries did not settle in {_SWEEP_CAP} "
+        f"inverse-branch sweeps at a = {a}, p = {p}"
+    )
 
 
 # ---------------------------------------------------------------------------

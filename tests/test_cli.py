@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from henonshift import cli, markov
+from henonshift import cli, markov, orbits
 from henonshift.cli import main
 from henonshift.henon import HenonMap
 from henonshift.markov import graph_from_dict, gurevich_entropy
@@ -172,7 +172,6 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["stats", "return-decay", "--graph", "{golden}", "--horizon", "0"],
         ["orbits", "equidist", "--a", "-2", "--p", "17"],
         ["orbits", "census", "--a", "-2", "--p", "0"],
-        ["orbits", "equidist", "--a", "-3", "--p", "10"],
         ["orbits", "equidist", "--a", "-1.9", "--b", "0.01", "--p", "0"],
         ["orbits", "entropy", "--a", "-2", "--p-min", "0", "--p-max", "3"],
         ["orbits", "entropy", "--a", "-2", "--p-min", "4", "--p-max", "3"],
@@ -396,6 +395,21 @@ def test_orbits_equidist_threshold_exit(capsys):
         ],
     )
     assert code2 == 2
+
+
+def test_orbits_equidist_counts_every_itinerary_below_minus_two(capsys):
+    code, doc = _run_json(capsys, ["orbits", "equidist", "--a", "-3", "--p", "10"])
+    assert code == 0
+    assert doc["result"]["n_points"] == 1024
+
+
+def test_orbits_equidist_unsettled_sweep_is_an_analysis_error(capsys, monkeypatch):
+    monkeypatch.setattr(orbits, "_SWEEP_CAP", 1)
+    code = main(["orbits", "equidist", "--a", "-2", "--p", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("henonshift: analysis failed: 8 of 8 itineraries did not settle")
 
 
 def test_orbits_equidist_rejects_unknown_reference(capsys):

@@ -230,12 +230,66 @@ def test_census_1d_empty_above_one_quarter():
             assert fixed_points_1d(a, p).size == 0
 
 
+def _assert_complete_invariant_census(roots, a, p):
+    # deg(f^p - id) = 2^p, so 2^p distinct roots are all of them; f maps
+    # Fix f^p onto itself
+    assert roots.size == 2**p, (a, p)
+    assert np.all(np.diff(roots) > 0), (a, p)
+    assert np.max(np.abs(np.sort(roots * roots + a) - roots)) <= 1e-12, (a, p)
+
+
 @pytest.mark.parametrize("a, p", [(-2.001, 14), (-3.0, 10), (-2.0000001, 1)])
-def test_census_1d_refuses_below_minus_two(a, p):
-    # all 2^p itineraries are realized there, but the grid on [-beta, beta]
-    # misses some of them, so the census refuses rather than undercounts
-    with pytest.raises(ValueError, match="a >= -2"):
-        fixed_points_1d(a, p)
+def test_census_1d_solves_below_minus_two(a, p):
+    # every one of the 2^p itineraries is realized below -2, one root each
+    roots = fixed_points_1d(a, p)
+    _assert_complete_invariant_census(roots, a, p)
+    beta = (1.0 + math.sqrt(1.0 - 4.0 * a)) / 2.0
+    assert -beta <= roots[0] and roots[-1] <= beta
+    if p == 1:
+        assert np.max(np.abs(roots - [1.0 - beta, beta])) <= 1e-12
+
+
+def test_census_1d_closed_forms_below_minus_two():
+    # Fix f_a = (1 +- sqrt(1 - 4a))/2 and the 2-cycle (-1 +- sqrt(-3 - 4a))/2
+    for a in np.linspace(-3.0, -2.0, 41):
+        r1, r2 = math.sqrt(1.0 - 4.0 * a), math.sqrt(-3.0 - 4.0 * a)
+        fix = [(1.0 - r1) / 2.0, (1.0 + r1) / 2.0]
+        for p, want in ((1, fix), (2, fix + [(-1.0 - r2) / 2.0, (-1.0 + r2) / 2.0])):
+            roots = fixed_points_1d(float(a), p)
+            assert roots.size == len(want), (a, p)
+            assert np.max(np.abs(roots - np.sort(want))) <= 1e-12, (a, p)
+
+
+@pytest.mark.parametrize("a", [-2.0, -2.5, -3.0])
+def test_census_1d_sweep_is_complete_and_invariant(a):
+    for p in range(1, 17):
+        roots = fixed_points_1d(a, p)
+        _assert_complete_invariant_census(roots, a, p)
+        if a == -2.0:
+            assert np.max(np.abs(roots - chebyshev_fixed_points(p))) <= 1e-11, p
+
+
+def test_census_1d_sweep_reports_words_that_did_not_settle(monkeypatch):
+    monkeypatch.setattr(orbits, "_SWEEP_CAP", 1)
+    with pytest.raises(orbits.AnalysisError, match=r"^8 of 8 itineraries did not settle"):
+        fixed_points_1d(-2.0, 3)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_census_1d_refuses_non_finite_parameter(a):
+    with pytest.raises(ValueError, match="finite"):
+        fixed_points_1d(a, 3)
+
+
+@pytest.mark.parametrize("a", [-2.0 + 1e-9, -1.9999, -1.999])
+def test_census_1d_grid_matches_reference_beside_the_sweep(a):
+    # just above -2 the grid and bisection still run, and still find every
+    # root the polished reference finds
+    for p in range(1, 11):
+        roots = fixed_points_1d(a, p)
+        want = _fixed_points_1d_reference(a, p)
+        assert roots.size == want.size, (a, p)
+        assert np.max(np.abs(roots - want)) <= 1e-12, (a, p)
 
 
 # ---------------------------------------------------------------------------
