@@ -343,7 +343,7 @@ def _cmd_orbits_equidist(args) -> int:
 
 
 def _cmd_stats_mixing(args) -> int:
-    mu = sample_mme_1d(args.kind, args.n, args.seed)
+    mu = sample_mme_1d("arcsine", args.n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     fit = covariance_decay(m, mu, _observable(args.g), _observable(args.obs_h), args.n_max)
     scale = None
@@ -362,7 +362,7 @@ def _cmd_stats_mixing(args) -> int:
 
 
 def _cmd_stats_clt(args) -> int:
-    mu = sample_mme_1d(args.kind, args.sample_n, args.seed)
+    mu = sample_mme_1d("arcsine", args.sample_n, args.seed)
     m = HenonMap(a=args.a, b=0.0, perturbation="zero")
     if args.psi == "coboundary":
         a = args.a
@@ -540,7 +540,6 @@ def build_parser() -> _Parser:
     stats_sub = stats.add_subparsers(dest="verb", required=True)
 
     sp = verb(stats_sub, "stats mixing", _cmd_stats_mixing)
-    sp.add_argument("--kind", choices=("arcsine", "chain"), default="arcsine")
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--a", type=float, default=-2.0)
@@ -551,7 +550,6 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = verb(stats_sub, "stats clt", _cmd_stats_clt)
-    sp.add_argument("--kind", choices=("arcsine", "chain"), default="arcsine")
     sp.add_argument("--sample-n", type=int, default=50_000)
     sp.add_argument("--n", type=int, default=4096)
     sp.add_argument("--trials", type=int, default=2000)

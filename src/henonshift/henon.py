@@ -451,17 +451,16 @@ def check_expansion_G4(
     sample: Sequence[tuple[Sequence[float], Sequence[float]]],
     n_s: int,
     params: Params,
-    cone: ConeField | None = None,
 ) -> G4Report:
     """Sampled expansion and cone-invariance check.
 
     For each (z, u): ||Tf^{n_s}(u)|| >= e^{kc} ||Tf^{n_s - k}(u)|| for all
-    k <= n_s, and Tf^{n_s}(u) lies in the cone.  Certifies only "no
-    counterexample found in this sample".
+    k <= n_s, and Tf^{n_s}(u) lies in horizontal_cone().  Certifies only
+    "no counterexample found in this sample".
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    cone = cone or horizontal_cone()
+    cone = horizontal_cone()
     c = params.c
     exp_ok: list[bool] = []
     cone_ok: list[bool] = []

@@ -116,9 +116,6 @@ class MarkovGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def index(self, v: str) -> int:
-        return self._idx[v]
-
     def adjacency_array(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix as floats, row = source."""
         A = np.zeros((self.n, self.n))

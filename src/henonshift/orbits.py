@@ -89,7 +89,8 @@ def fixed_points_1d(a: float, p: int) -> np.ndarray:
     """All real roots of f_a^p(x) - x, sorted, for finite a.
 
     For a <= -2 (the Chebyshev map at -2, a horseshoe below) each of the
-    2^p itineraries gives one root (_inverse_branch_census).  Above -2 this
+    2^p itineraries gives one root (_inverse_branch_census); far below -2,
+    where roots coincide in float, AnalysisError is raised.  Above -2 this
     brackets sign changes on a cosine grid x = beta cos(theta) (fine enough
     to separate the quadratically clustered roots near +-beta) and bisects
     each bracket to the end; a grid point where f^p(x) - x is exactly 0 is
@@ -158,7 +159,7 @@ def _inverse_branch_census(a: float, p: int, beta: float) -> np.ndarray:
     bit k of w is set, swept on all words until none moves by more than
     5e-14 beta.  From x = 0 every iterate keeps |x| <= -a, so x - a is
     never negative.  Far below -2 the roots of one long cylinder can lie
-    closer than float spacing and coincide.
+    closer than float spacing and coincide; such a census is refused.
     """
     tol = 5e-14 * beta  # 1e-13 at a = -2; absolute would stall on ulp(beta)
     x = np.zeros(2**p)
@@ -171,7 +172,14 @@ def _inverse_branch_census(a: float, p: int, beta: float) -> np.ndarray:
             np.negative(neg, out=neg)
         unsettled = np.count_nonzero(np.abs(x - prev) > tol)
         if not unsettled:
-            return np.sort(x)
+            x.sort()
+            distinct = 1 + np.count_nonzero(x[1:] > x[:-1])
+            if distinct < x.size:
+                raise AnalysisError(
+                    f"only {distinct} of {x.size} roots are distinct in float at "
+                    f"a = {a}, p = {p}: the roots of one cylinder coincide"
+                )
+            return x
     raise AnalysisError(
         f"{unsettled} of {2**p} itineraries did not settle in {_SWEEP_CAP} "
         f"inverse-branch sweeps at a = {a}, p = {p}"
@@ -462,7 +470,6 @@ class EquidistReport:
     statistic: str
     distance: float
     n_points: int
-    observables: tuple[tuple[str, float, float], ...] = ()
 
 
 def _census_abscissas(census: PeriodicCensus | np.ndarray) -> np.ndarray:
@@ -475,16 +482,14 @@ def equidistribution_test(
     census: PeriodicCensus | np.ndarray,
     reference: str | np.ndarray | Callable[[np.ndarray], np.ndarray] = "arcsine",
     statistic: str = "KS",
-    observables: Sequence[tuple[str, Callable[[np.ndarray], np.ndarray]]] = (),
-    cells: Sequence[float] | None = None,
 ) -> EquidistReport:
     """Distance between the census abscissas and a reference law.
 
     reference: "arcsine" (analytic CDF), an array of samples (empirical
     CDF), or a callable CDF.  statistic "KS" is the sup CDF distance;
-    "cylinder" is the max discrepancy over an interval partition (default
-    8 dyadic cells of [-2, 2]).  Observable means under both laws are
-    appended to the report.
+    "cylinder" is the max discrepancy of cell masses over the 8 dyadic
+    cells of [-2, 2], the two outer cells widened to take in every census
+    point beyond +-2 (as at a < -2), so the census masses sum to 1.
     """
     xs = _census_abscissas(census)
     if xs.size == 0:
@@ -492,12 +497,10 @@ def equidistribution_test(
 
     if callable(reference):
         cdf = reference
-        ref_samples = None
     elif isinstance(reference, str):
         if reference != "arcsine":
             raise ValueError(f"unknown reference {reference!r}")
         cdf = arcsine_cdf
-        ref_samples = None
     else:
         ref_samples = np.sort(np.asarray(reference, dtype=float))
 
@@ -510,11 +513,8 @@ def equidistribution_test(
     if statistic == "KS":
         dist = _ks_distance(np.asarray(cdf(xs), dtype=float))
     elif statistic == "cylinder":
-        edges = (
-            np.asarray(cells, dtype=float)
-            if cells is not None
-            else np.linspace(-2.0, 2.0, 9)
-        )
+        edges = np.linspace(-2.0, 2.0, 9)
+        edges[0], edges[-1] = min(-2.0, xs[0]), max(2.0, xs[-1])
         emp, _ = np.histogram(xs, bins=edges)
         emp = emp / n
         Fe = np.asarray(cdf(edges), dtype=float)
@@ -523,21 +523,7 @@ def equidistribution_test(
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
 
-    obs_rows = []
-    for name, g in observables:
-        emp_mean = float(np.mean(g(xs)))
-        if ref_samples is not None:
-            ref_mean = float(np.mean(g(ref_samples)))
-        else:
-            ref_mean = arcsine_mean(g)
-        obs_rows.append((name, emp_mean, ref_mean))
-
-    return EquidistReport(
-        statistic=statistic,
-        distance=dist,
-        n_points=int(n),
-        observables=tuple(obs_rows),
-    )
+    return EquidistReport(statistic=statistic, distance=dist, n_points=int(n))
 
 
 # ---------------------------------------------------------------------------

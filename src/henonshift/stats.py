@@ -28,7 +28,6 @@ from .markov import (
 __all__ = [
     "EmpiricalMeasure",
     "sample_mme_1d",
-    "measure_from_points",
     "DecayFit",
     "covariance_decay",
     "CltReport",
@@ -49,71 +48,50 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# empirical measures
+# uniform samples
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted sample set with a provenance tag.
+    """Uniform sample set with a provenance tag: each point has mass 1/n.
 
     provenance is one of "periodic-census", "chain-simulation",
     "inverse-CDF" (or a free-form tag for synthetic inputs).
     """
 
     points: np.ndarray
-    weights: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(pts):
-            raise ValueError("one weight per point required")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        s = w.sum()
-        if not math.isclose(s, 1.0, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"weights must sum to 1, got {s}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
 
     @property
     def n(self) -> int:
-        return len(self.weights)
-
-    def n_effective(self) -> float:
-        return 1.0 / float(np.sum(self.weights**2))
+        return len(self.points)
 
     def mean(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.sum(self.weights * g(self.points)))
+        return float(np.mean(g(self.points)))
 
     def mass(self, lo: float, hi: float) -> float:
         x = self.points if self.points.ndim == 1 else self.points[:, 0]
-        return float(np.sum(self.weights[(x >= lo) & (x <= hi)]))
-
-
-def measure_from_points(points: np.ndarray, provenance: str) -> EmpiricalMeasure:
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    return EmpiricalMeasure(pts, np.full(n, 1.0 / n), provenance)
+        return float(np.count_nonzero((x >= lo) & (x <= hi)) / self.n)
 
 
 def sample_mme_1d(kind: str, n: int, seed: int) -> EmpiricalMeasure:
     """Sample of the 1-D maximal-entropy law (arcsine on [-2, 2]).
 
-    kind "arcsine" draws x = 2 cos(pi U) directly; kind "chain" simulates
-    the maximal-entropy chain of the full 2-shift and pushes the symbol
-    sequence through the binary-angle conjugacy x = 2 cos(2 pi . b1 b2 ...).
-    Both routes target the same law; the chain route exercises it.
+    kind "arcsine" draws x = 2 cos(pi U) directly.  kind "chain" asserts
+    that the maximal-entropy kernel of the full 2-shift is 1/2 on every
+    arrow, then draws 53 fair bits as one integer k in [0, 2^53) and
+    returns x = 2 cos(2 pi k 2^-53); it simulates no chain.  Both kinds
+    draw the same law.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "arcsine":
         u = rng.random(n)
-        return EmpiricalMeasure(
-            2.0 * np.cos(np.pi * u), np.full(n, 1.0 / n), "inverse-CDF"
-        )
+        return EmpiricalMeasure(2.0 * np.cos(np.pi * u), "inverse-CDF")
     if kind == "chain":
         g2 = full_shift_graph(2)
         chain = build_mme(perron(g2), g2)
@@ -123,9 +101,7 @@ def sample_mme_1d(kind: str, n: int, seed: int) -> EmpiricalMeasure:
         # 53 fair bits saturate double precision of the binary angle; one
         # integer in [0, 2^53) is the same law, and k 2^-53 is exact
         angle = rng.integers(0, 2**53, size=n) * 2.0**-53
-        return EmpiricalMeasure(
-            2.0 * np.cos(2.0 * np.pi * angle), np.full(n, 1.0 / n), "chain-simulation"
-        )
+        return EmpiricalMeasure(2.0 * np.cos(2.0 * np.pi * angle), "chain-simulation")
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
@@ -248,8 +224,8 @@ def covariance_decay(
 ) -> DecayFit:
     """Cov_n = E[g (h o f^n)] - E[g] E[h o f^n] over the pushed sample.
 
-    Lags whose |Cov_n| sits below 3 sd(g) sd(h) / sqrt(N_eff)
-    carry no signal and are excluded from the kappa regression.
+    Lags whose |Cov_n| sits below 3 sd(g) sd(h) / sqrt(N) over the N
+    sample points carry no signal and are excluded from the kappa regression.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -257,8 +233,6 @@ def covariance_decay(
     x = measure.points.astype(float)
     if x.ndim != 1:
         raise ValueError("covariance decay works on 1-D samples")
-    w = measure.weights
-    n_eff = measure.n_effective()
     if measure.n < 10 * n_max:
         new_max = max(1, measure.n // 10)
         warnings.warn(
@@ -269,12 +243,10 @@ def covariance_decay(
         n_max = new_max
 
     gvals = np.asarray(g(x), dtype=float)
-    mg = float(np.sum(w * gvals))
-    sd_g = math.sqrt(max(float(np.sum(w * (gvals - mg) ** 2)), 0.0))
-    hx = np.asarray(h(x), dtype=float)
-    mh0 = float(np.sum(w * hx))
-    sd_h = math.sqrt(max(float(np.sum(w * (hx - mh0) ** 2)), 0.0))
-    floor = 3.0 * sd_g * sd_h / math.sqrt(n_eff)
+    mg = float(gvals.mean())
+    sd_g = float(gvals.std())
+    sd_h = float(np.asarray(h(x), dtype=float).std())
+    floor = 3.0 * sd_g * sd_h / math.sqrt(measure.n)
 
     covs = []
     cur = x.copy()
@@ -283,7 +255,7 @@ def covariance_decay(
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > 1e6:
             raise RuntimeError(f"sample escaped after {_n} steps")
         hn = np.asarray(h(cur), dtype=float)
-        covs.append(float(np.sum(w * gvals * hn)) - mg * float(np.sum(w * hn)))
+        covs.append(float(np.mean(gvals * hn)) - mg * float(hn.mean()))
     lags = np.arange(1, n_max + 1)
     vals = np.array(covs)
     kappa, r2, used, degen = _fit_decay(lags, vals, floor)
@@ -440,8 +412,7 @@ def clt_test(
         raise ValueError("n must be >= 1")
     f = _as_1d_map(m)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(measure.n, size=trials, p=measure.weights)
-    x = measure.points[idx].astype(float)
+    x = measure.points[rng.integers(measure.n, size=trials)]
 
     sums = np.zeros(trials)
     # one shared pass: Birkhoff sums plus running moments of psi over all

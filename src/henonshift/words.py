@@ -247,8 +247,8 @@ class SuitabilityModel:
         return tuple(Symbol("parabolic", k, s, depth=k - self.M - 1) for s in signs)
 
 
-def full_model(M: int, multiplicity: int = 2) -> SuitabilityModel:
-    return SuitabilityModel(M=M, multiplicity=multiplicity, name="full")
+def full_model(M: int) -> SuitabilityModel:
+    return SuitabilityModel(M=M, name="full")
 
 
 def simple_only_model(M: int) -> SuitabilityModel:
@@ -812,16 +812,18 @@ class DimensionBound:
     warning: str | None = None
 
 
+_N_MAX = 12
+
+
 def dimension_upper_bound(
     model: SuitabilityModel,
     params: Params,
     s_grid: Sequence[float],
-    N_max: int = 12,
 ) -> DimensionBound:
     """Smallest grid exponent whose covering sums decay geometrically.
 
-    Certifies s when Psi_0 >= Psi_1 >= ... of the cardinality-weighted
-    covering sums strictly decay up to N_max with no divergence flag;
+    Certifies s when Psi_0 > Psi_1 > ... > Psi_12 (_N_MAX = 12) of the
+    cardinality-weighted covering sums strictly decay with no divergence flag;
     returns 3 s (capped at 1), mirroring the diameter-exponent tripling of
     the covering argument.  An empty block family certifies bound 0; no
     certifying grid point returns 1 with a warning.
@@ -832,8 +834,6 @@ def dimension_upper_bound(
         raise ValueError("s_grid must be nonempty and strictly increasing")
     if any(not 0.0 < s <= 1.0 for s in s_grid):
         raise ValueError("grid exponents must lie in (0, 1]")
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1: certifying needs a decay check")
     factor, weight = 3.0, "cardinality"
 
     last = block_sum(model, params, s_grid[-1], weight)
@@ -844,7 +844,7 @@ def dimension_upper_bound(
             certified=True,
             factor=factor,
             weight=weight,
-            N_max=N_max,
+            N_max=_N_MAX,
             warning="covering family is empty (no tail blocks)",
         )
 
@@ -852,7 +852,7 @@ def dimension_upper_bound(
         blocks, diverged = last if s == s_grid[-1] else block_sum(model, params, s, weight)
         if diverged:
             continue
-        prefixes = _prefix_sums(model, _weight_rate(s, weight, params), N_max)
+        prefixes = _prefix_sums(model, _weight_rate(s, weight, params), _N_MAX)
         values = [_psi(p, blocks, N) for N, p in enumerate(prefixes)]
         if all(b < a for a, b in zip(values, values[1:])):
             return DimensionBound(
@@ -861,7 +861,7 @@ def dimension_upper_bound(
                 certified=True,
                 factor=factor,
                 weight=weight,
-                N_max=N_max,
+                N_max=_N_MAX,
             )
     return DimensionBound(
         bound=1.0,
@@ -869,6 +869,6 @@ def dimension_upper_bound(
         certified=False,
         factor=factor,
         weight=weight,
-        N_max=N_max,
+        N_max=_N_MAX,
         warning="no grid exponent produced geometric decay",
     )

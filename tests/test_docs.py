@@ -93,8 +93,12 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_package_sources_have_no_unused_imports():
-    # __init__.py imports in order to re-export
-    sources = sorted((ROOT / "src" / "henonshift").glob("*.py"))
+    # the package, its tests and the demos; __init__.py imports in order to
+    # re-export
+    sources = [
+        path for folder in ("src/henonshift", "tests", "demos")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
     unused = [u for path in sources if path.name != "__init__.py" for u in _unused_imports(path)]
     assert sources and not unused, unused
 
@@ -130,10 +134,11 @@ def test_private_helpers_are_used():
 
 def test_public_parameters_have_callers():
     # every defaulted parameter of a public library function must be passed
-    # somewhere (by keyword, by enough positional arguments to reach it, or
-    # through a call with * or **), or it is a setting nothing uses
+    # somewhere in the library or the benchmark (by keyword, by enough
+    # positional arguments to reach it, or through a call with * or **), or
+    # it is a setting nothing but the tests and demos uses
     calls: dict[str, list[ast.Call]] = {}
-    for folder in ("src", "tests", "demos", "perfbench"):
+    for folder in ("src", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):

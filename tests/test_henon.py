@@ -291,9 +291,9 @@ def test_g4_detects_contraction_near_turning_point():
 def test_g4_cone_invariance_flagged():
     params = Params(M=100)
     m = HenonMap(a=-1.4, b=0.3, perturbation="classical")
-    cone = ConeField(center=(0.0, 1.0), half_angle=0.1)  # vertical cone: image leaves it
-    sample = [((1.5, 0.1), (0.0, 1.0))]
-    rep = check_expansion_G4(m, sample, n_s=1, params=params, cone=cone)
+    # at x = 0 the tangent map sends (1, 0) to (0, b), out of the horizontal cone
+    sample = [((0.0, 0.1), (1.0, 0.0))]
+    rep = check_expansion_G4(m, sample, n_s=1, params=params)
     assert not rep.cone_ok[0]
 
 

@@ -275,6 +275,13 @@ def test_census_1d_sweep_reports_words_that_did_not_settle(monkeypatch):
         fixed_points_1d(-2.0, 3)
 
 
+@pytest.mark.parametrize(("a", "p", "distinct"), [(-50.0, 16, 35_156), (-1e6, 8, 50)])
+def test_census_1d_sweep_refuses_coinciding_roots(a, p, distinct):
+    # far below -2 the roots of one cylinder lie closer than float spacing
+    with pytest.raises(orbits.AnalysisError, match=rf"^only {distinct} of {2**p} roots"):
+        fixed_points_1d(a, p)
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
 def test_census_1d_refuses_non_finite_parameter(a):
     with pytest.raises(ValueError, match="finite"):
@@ -758,23 +765,20 @@ def test_equidistribution_self_reference_tiny():
 
 def test_equidistribution_cylinder_mass():
     x = chebyshev_fixed_points(14)
-    rep = equidistribution_test(x, statistic="cylinder", cells=[1.0, 2.0])
-    # arcsine mass of [1, 2] is 1/3
+    rep = equidistribution_test(x, statistic="cylinder")
     assert rep.distance == pytest.approx(0.0, abs=1e-3)
 
 
-def test_equidistribution_observables():
-    x = chebyshev_fixed_points(12)
-    rep = equidistribution_test(
-        x, observables=[("mean_x", lambda v: v), ("mean_x2", lambda v: v * v)]
-    )
-    obs = dict((name, (emp, ref)) for name, emp, ref in rep.observables)
-    emp, ref = obs["mean_x"]
-    assert ref == pytest.approx(0.0, abs=1e-9)
-    assert abs(emp - ref) < 1e-3
-    emp2, ref2 = obs["mean_x2"]
-    assert ref2 == pytest.approx(2.0, abs=1e-9)
-    assert abs(emp2 - ref2) < 1e-3
+def test_equidistribution_cylinder_counts_every_census_point():
+    # at a = -3 about 40% of the census lies beyond +-2, in the outer cells
+    x = fixed_points_1d(-3.0, 10)
+    assert np.count_nonzero(np.abs(x) > 2.0) > 0.3 * x.size
+    inner = np.linspace(-1.5, 1.5, 7)
+    emp = np.bincount(np.searchsorted(inner, x, side="right"), minlength=8) / x.size
+    assert emp.sum() == pytest.approx(1.0)
+    ref = np.diff(arcsine_cdf(np.linspace(-2.0, 2.0, 9)))
+    rep = equidistribution_test(x, statistic="cylinder")
+    assert rep.distance == pytest.approx(np.max(np.abs(emp - ref)), abs=1e-15)
 
 
 def test_equidistribution_accepts_census():

@@ -22,10 +22,10 @@ from henonshift.stats import (
     chebyshev_polynomial,
     clt_test,
     coboundary,
+    EmpiricalMeasure,
     coordinate,
     covariance_decay,
     lipschitz_bump,
-    measure_from_points,
     return_decay_check,
     sample_mme_1d,
     segment_sample,
@@ -75,8 +75,7 @@ def test_sample_rejects_unknown_kind():
 
 
 def test_measure_from_points_moments():
-    mu = measure_from_points(np.array([0.0, 1.0, 2.0, 3.0]), "manual")
-    assert mu.n_effective() == 4
+    mu = EmpiricalMeasure(np.array([0.0, 1.0, 2.0, 3.0]), "manual")
     assert mu.mean(lambda x: x) == pytest.approx(1.5)
     assert mu.mass(0.5, 2.5) == pytest.approx(0.5)
 
@@ -166,7 +165,7 @@ def test_covariance_small_sample_truncates_lags():
 
 
 def test_covariance_escaping_orbits_raise():
-    mu = measure_from_points(np.full(100, 5.0), "outside")
+    mu = EmpiricalMeasure(np.full(100, 5.0), "outside")
     with pytest.raises(RuntimeError):
         covariance_decay(F, mu, coordinate(), coordinate(), n_max=4)
 

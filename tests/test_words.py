@@ -92,7 +92,7 @@ def test_full_model_sharp_recurrence_and_closed_form():
 
 RESTRICTED_MODELS = [
     simple_only_model(5),
-    full_model(5, multiplicity=1),
+    SuitabilityModel(M=5, multiplicity=1),
     SuitabilityModel(M=6, simple_orders=(2, 3, 5)),
     SuitabilityModel(M=4, include_square=False),
     SuitabilityModel(M=4, include_parabolic=False),
@@ -544,14 +544,6 @@ def test_dimension_bound_sums_blocks_once_per_exponent(monkeypatch):
     tried = grid[: grid.index(b.s_star) + 1]
     # the largest exponent is probed first for an empty covering family
     assert Counter(calls) == Counter(tried + [grid[-1]])
-
-
-@pytest.mark.parametrize("n_max", [0, -1])
-def test_dimension_bound_needs_a_decay_check(n_max):
-    # with no Psi_1 there is nothing to decay, so nothing is certified
-    grid = [0.01, 0.5]
-    with pytest.raises(ValueError, match="N_max"):
-        dimension_upper_bound(full_model(25), Params(M=25), grid, N_max=n_max)
 
 
 def test_dimension_bound_degenerate_model():
