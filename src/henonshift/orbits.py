@@ -37,7 +37,6 @@ __all__ = [
     "EquidistReport",
     "equidistribution_test",
     "arcsine_cdf",
-    "arcsine_mean",
     "ExceptionalBound",
     "exceptional_bound",
     "k_square_entropy",
@@ -327,7 +326,8 @@ def periodic_orbits_2d(
     the grid and reports whether the count was stable; both grids run in
     one Newton batch, since every seed's iteration is its own.  An explicit
     seed array has no doubled grid, so it cannot take refine_check.  tol
-    must be finite and > 0.
+    must be finite and > 0.  A zero or classical census (either grid) that
+    counts more than 2^p points raises AnalysisError.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
@@ -346,10 +346,18 @@ def periodic_orbits_2d(
     # seeds that escape overflow on the way; acceptance drops them
     with np.errstate(over="ignore", invalid="ignore"):
         cands = np.split(_newton_batch(m, np.vstack(seeds), p, tol), [len(seeds[0])])
-        census = _accept(m, p, cands[0], tol)
-        if len(seeds) > 1:
-            stable = _accept(m, p, cands[1], tol).count_fix == census.count_fix
-            census = replace(census, stable=stable)
+        censuses = [_accept(m, p, c, tol) for c in cands[: len(seeds)]]
+    # f^p of a degree-2 polynomial Henon map has at most 2^p fixed points
+    # (Friedland & Milnor 1989); a census above that holds duplicates
+    most = max(c.count_fix for c in censuses)
+    if m.perturbation != "custom" and most > 2**p:
+        raise AnalysisError(
+            f"census counts {most} fixed points of f^{p}, more than "
+            f"the {2**p} = 2^{p} a degree-2 Henon map can have"
+        )
+    census = censuses[0]
+    if len(censuses) > 1:
+        census = replace(census, stable=censuses[1].count_fix == census.count_fix)
     return census
 
 
@@ -455,14 +463,6 @@ def arcsine_cdf(x: np.ndarray | float) -> np.ndarray | float:
     xx = np.clip(np.asarray(x, dtype=float) / 2.0, -1.0, 1.0)
     out = 0.5 + np.arcsin(xx) / np.pi
     return float(out) if np.isscalar(x) else out
-
-
-def arcsine_mean(g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of g against the arcsine density, via the angle substitution
-    x = 2 cos(theta) which flattens the law to uniform in theta, by the
-    trapezoid rule on 20001 nodes."""
-    theta = np.linspace(0.0, np.pi, 20001)
-    return float(np.trapezoid(g(2.0 * np.cos(theta)), theta) / np.pi)
 
 
 @dataclass(frozen=True)

@@ -282,8 +282,11 @@ def test_shift_disconnected_graph_analysis_error(tmp_path, capsys):
         (["orbits", "equidist", "--a", "0.3", "--p", "3"], "census holds no points"),
         (["orbits", "equidist", "--a=-1e6", "--p", "8"], "only 50 of 256 roots"),
         (_BOXDIM + ["0.5"], "only 1 usable scales"),
+        (["orbits", "census", "--a", "-3", "--b", "0.3", "--p", "7",
+          "--perturbation", "classical"], "census counts 134 fixed points of f^7, more than the 128"),
     ],
-    ids=["orbits equidist", "orbits equidist coinciding roots", "stats boxdim"],
+    ids=["orbits equidist", "orbits equidist coinciding roots", "stats boxdim",
+         "orbits census above 2^p"],
 )
 def test_valid_input_without_a_result_is_an_analysis_error(capsys, argv, message):
     code = main(argv)

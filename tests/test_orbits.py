@@ -17,7 +17,6 @@ from henonshift import orbits
 from henonshift.henon import HenonMap, _orbit_batch
 from henonshift.orbits import (
     arcsine_cdf,
-    arcsine_mean,
     census_to_csv,
     chebyshev_fixed_points,
     entropy_from_census,
@@ -311,6 +310,13 @@ def test_census_2d_b_zero_matches_line():
         xs = np.sort(census.points[:, 0])
         assert np.allclose(xs, np.sort(chebyshev_fixed_points(p)), atol=1e-9)
         assert np.allclose(census.points[:, 1], 0.0)
+
+
+def test_census_2d_refuses_more_points_than_2_to_the_p():
+    # f^7 has at most 2^7 = 128 fixed points; the grid census finds 134
+    m = HenonMap(a=-3.0, b=0.3, perturbation="classical")
+    with pytest.raises(orbits.AnalysisError, match=r"134 fixed points of f\^7, more than the 128"):
+        periodic_orbits_2d(m, 7)
 
 
 def test_census_2d_interior_parameter_matches_line():
@@ -740,12 +746,6 @@ def test_arcsine_cdf_values():
     assert arcsine_cdf(np.array([0.0]))[0] == pytest.approx(0.5)
     assert arcsine_cdf(np.array([2.0]))[0] == pytest.approx(1.0)
     assert arcsine_cdf(np.array([1.0]))[0] == pytest.approx(2.0 / 3.0)
-
-
-def test_arcsine_mean_moments():
-    assert arcsine_mean(lambda x: x) == pytest.approx(0.0, abs=1e-12)
-    assert arcsine_mean(lambda x: x * x) == pytest.approx(2.0, abs=1e-9)
-    assert arcsine_mean(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equidistribution_ks_full_parameter():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def test_sample_rejects_unknown_kind():
 
 def test_measure_from_points_moments():
     mu = EmpiricalMeasure(np.array([0.0, 1.0, 2.0, 3.0]), "manual")
-    assert mu.mean(lambda x: x) == pytest.approx(1.5)
-    assert mu.mass(0.5, 2.5) == pytest.approx(0.5)
+    assert np.mean(mu.points) == pytest.approx(1.5)
+    assert np.count_nonzero((mu.points >= 0.5) & (mu.points <= 2.5)) / mu.n == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,43 @@ def test_cantor_sample_in_middle_thirds_set():
     assert not np.any((pts > 1.0 / 3.0 + 1e-9) & (pts < 2.0 / 3.0 - 1e-9))
 
 
+def _ternary_digits(k: np.ndarray) -> np.ndarray:
+    digits = np.empty((len(k), 26), dtype=np.int64)
+    for i in range(25, -1, -1):
+        k, digits[:, i] = np.divmod(k, 3)
+    return digits
+
+
+def test_cantor_sample_is_the_exact_digit_sum_of_the_drawn_digits():
+    n, seed = 10_000, 31
+    pts = cantor_sample(n, seed)
+    assert not pts[:, 1].any()
+    k = np.rint(pts[:, 0] * 3.0**26).astype(np.int64)
+    # x is the double nearest K / 3^26, bit for bit
+    assert np.array_equal(k / 3.0**26, pts[:, 0])
+    digits = _ternary_digits(k)
+    assert np.isin(digits, (0, 2)).all()
+    # the digits are those of one (n, 26) draw, whatever the blocks
+    assert np.array_equal(digits, 2 * np.random.default_rng(seed).integers(0, 2, size=(n, 26)))
+
+
+@pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 9999])
+def test_cantor_sample_blocks_do_not_show(m):
+    assert np.array_equal(cantor_sample(10_000, 17)[:m], cantor_sample(m, 17))
+
+
+def test_cantor_sample_memory_is_bounded():
+    # warm up: keeps one-time allocations out of the peak
+    cantor_sample(5_000, 8)
+    tracemalloc.start()
+    try:
+        cantor_sample(200_000, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000  # bytes: the output is 3.2 MB; all 26 n digits would be 42 MB
+
+
 # ---------------------------------------------------------------------------
 # return-time decay
 
@@ -529,7 +567,7 @@ def test_return_decay_synthetic_word_census():
 def test_sample_mean_bounded(seed):
     mu = sample_mme_1d("arcsine", 500, seed=seed)
     assert np.all(np.abs(mu.points) <= 2.0)
-    assert abs(mu.mean(lambda x: x)) < 0.5
+    assert abs(np.mean(mu.points)) < 0.5
 
 
 @settings(max_examples=20, deadline=None)
