@@ -213,18 +213,105 @@ def iterate(m: HenonMap, point: Sequence[float], n: int) -> OrbitSegment:
     escape radius."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x, y = float(point[0]), float(point[1])
+    z = _start_point(point)
     pts = np.empty((n + 1, 2))
-    pts[0] = (x, y)
-    r = _ESCAPE_RADIUS  # a local: the loop below runs once per step
-    for k in range(1, n + 1):
-        x, y = m.apply(x, y)
-        if abs(x) > r or abs(y) > r:
+    pts[0] = z
+    k = 0
+    for xs, ys, escaped in _orbit_blocks(m, z, n):
+        pts[k + 1 : k + len(xs), 0], pts[k + 1 : k + len(xs), 1] = xs[1:], ys[1:]
+        k += len(xs) - 1
+        if escaped:  # pts[k] is the first point outside the radius
             return OrbitSegment(
                 points=pts[:k].copy(), escaped=True, escape_time=k, n_requested=n
             )
-        pts[k] = (x, y)
     return OrbitSegment(points=pts, escaped=False, escape_time=None, n_requested=n)
+
+
+def _start_point(point: Sequence[float]) -> tuple[float, float]:
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"start point must be finite, got ({x}, {y})")
+    return x, y
+
+
+# Steps per block of the orbit walk: it bounds the memory that lyapunov
+# holds at any time, whatever the horizon.  A block's prefix products take
+# log2(_BLOCK) doubling levels, and its one product as many pairwise levels.
+_BLOCK = 4096
+
+
+def _orbit_blocks(
+    m: HenonMap, z: tuple[float, float], n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """The orbit of z, up to n steps, one block of at most _BLOCK steps at
+    a time.
+
+    Yields, per block of L steps, the coordinates xs and ys of the L + 1
+    points z_k, ..., z_{k+L} its steps run through, and whether the orbit
+    escaped at the last step: z_{k+L} is then the first point outside the
+    escape radius, and the walk ends.  Each block starts at the point where
+    the one before it ended.  The built-in maps step on local floats, with
+    no call per step; a custom map pays one apply call per step.
+    """
+    custom = m.perturbation == "custom"
+    c = m.b if m.perturbation == "classical" else 0.0
+    x, y = z
+    k = 0
+    while k < n:
+        L = min(_BLOCK, n - k)
+        # arrays of doubles, not lists of floats: a block holds no Python
+        # object per step
+        xs = array("d", bytes(8 * (L + 1)))
+        y0 = y
+        if custom:
+            ys = array("d", bytes(8 * (L + 1)))
+            x, y, steps, escaped = _walk_custom(m.apply, xs, ys, x, y, L)
+            ys[steps] = y
+            Y = np.frombuffer(ys)[: steps + 1]
+        else:
+            x, y, steps, escaped = _walk_builtin(m.a, c, xs, x, y, L)
+            # a built-in map's y after a step depends on x alone
+            Y = np.empty(steps + 1)
+            Y[0] = y0
+            Y[1:] = m.apply(np.frombuffer(xs)[:steps], 0.0)[1]
+        xs[steps] = x
+        k += steps
+        yield np.frombuffer(xs)[: steps + 1], Y, escaped
+        if escaped:
+            return
+
+
+# The walks of _orbit_blocks, one step per pass, each in a function of its
+# own: a loop in a generator's frame runs about twice as slowly under
+# tracemalloc.  Each stores the x (and ys the y) of every point that a step
+# starts from and returns the point after its last step, the steps taken
+# and whether that point lies outside the escape radius.
+
+
+def _walk_builtin(a: float, c: float, xs: array, x: float, y: float, L: int) -> tuple:
+    """L steps of (x, y) -> (x^2 + a + y, c x) on floats: c is b for the
+    classical map and 0 for the zero map."""
+    r = _ESCAPE_RADIUS  # a local: the loop runs once per step
+    for i in range(L):
+        xs[i] = x
+        x, y = x * x + a + y, c * x
+        if abs(x) > r or abs(y) > r:
+            return x, y, i + 1, True
+    return x, y, L, False
+
+
+def _walk_custom(
+    apply: Callable, xs: array, ys: array, x: float, y: float, L: int
+) -> tuple:
+    """L steps of apply, one call per step."""
+    r = _ESCAPE_RADIUS
+    for i in range(L):
+        xs[i] = x
+        ys[i] = y
+        x, y = apply(x, y)
+        if abs(x) > r or abs(y) > r:
+            return x, y, i + 1, True
+    return x, y, L, False
 
 
 def _chain_rule(m: HenonMap, x: np.ndarray, y: np.ndarray, p: int) -> Iterator[tuple]:
@@ -286,10 +373,6 @@ def _unit(u: Sequence[float]) -> tuple[float, float]:
     return ux / norm, uy / norm
 
 
-# Steps per Jacobian evaluation in the tangent recurrence: it bounds the
-# memory that lyapunov holds at any time, whatever the horizon, and each
-# block's prefix products take log2(_BLOCK) doubling levels.
-_BLOCK = 4096
 _LN2 = math.log(2.0)
 
 
@@ -297,6 +380,15 @@ def _pow2_exponents(P: np.ndarray) -> np.ndarray:
     """Per matrix P[:, :, k], the k with largest |entry| / 2^k in [1/2, 1)
     (0 for a zero matrix)."""
     return np.frexp(np.abs(P).max(axis=(0, 1)))[1]
+
+
+def _scaled_product(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A @ B, matrix by matrix, for (2, 2, L) arrays A and B: returns P and
+    integer exponents k with A @ B = 2^k P, the largest |entry| of each
+    P[:, :, i] in [1/2, 1)."""
+    P = A[:, 0:1] * B[0] + A[:, 1:2] * B[1]
+    k = _pow2_exponents(P)
+    return np.ldexp(P, -k), k
 
 
 def _prefix_products(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,58 +406,59 @@ def _prefix_products(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S, e = np.ldexp(J, -k), k.astype(np.int64)
     s = 1
     while s < S.shape[2]:
-        A, B = S[:, :, s:], S[:, :, :-s]
-        P = A[:, 0:1] * B[0] + A[:, 1:2] * B[1]  # A @ B, matrix by matrix
-        k = _pow2_exponents(P)
-        S[:, :, s:] = np.ldexp(P, -k)
+        S[:, :, s:], k = _scaled_product(S[:, :, s:], S[:, :, :-s])
         e[s:] = e[s:] + e[:-s] + k
         s *= 2
     return S, e
 
 
+def _block_product(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last prefix product J_{L-1} ... J_0 of a (2, 2, L) array J, as
+    _prefix_products gives it, bit for bit: S of shape (2, 2, 1) and e of
+    shape (1,).
+
+    A pairwise tree: each level pairs its products from the end, and a
+    product left over at the front passes to the next level as it is.
+    These are the pairs, and the rescalings, that the scan's levels form
+    for its last entry, at about one matrix product per step.
+    """
+    k = _pow2_exponents(J)
+    S, e = np.ldexp(J, -k), k.astype(np.int64)
+    while S.shape[2] > 1:
+        f = S.shape[2] % 2
+        P, k = _scaled_product(S[:, :, f + 1 :: 2], S[:, :, f::2])
+        S = np.concatenate([S[:, :, :f], P], axis=2)
+        e = np.concatenate([e[:f], e[f + 1 :: 2] + e[f::2] + k])
+    return S, e
+
+
 def _tangent_blocks(
     m: HenonMap,
-    point: Sequence[float],
+    z: tuple[float, float],
     u: tuple[float, float],
     n: int,
+    products: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
     """The tangent recurrence from the unit vector u, up to n steps.
 
-    Walks the orbit with the scalar map, one block of at most _BLOCK steps
-    at a time, and evaluates the block's Jacobians J[0..L-1] at once.  The
-    prefix products Tf^k = J[k-1] ... J[0] then give the images Tf^k u of
-    the carried unit vector u for the whole block in a few array
+    Evaluates the Jacobians J[0..L-1] of each block of _orbit_blocks at
+    once.  The products formed from them by products (_prefix_products for
+    every step, or _block_product for the block's last step alone) then
+    give the images Tf^k u of the carried unit vector u in a few array
     operations.
-    Yields, per block, the ladder values ell, the unit image directions,
-    the log |det Tf| of its steps and whether the orbit escaped at its
-    last step.  A vector that falls into an exact kernel stays the zero
-    vector while the orbit walk goes on: from that step on ell is -inf and
-    the direction nan.
+    Yields, per block, the ladder values ell and the unit image directions
+    at those products, the log |det Tf| of the block's steps and whether the
+    orbit escaped at its last step.  A vector that falls into an exact
+    kernel stays the zero vector while the orbit walk goes on: from that
+    step on ell is -inf and the direction nan.
     """
-    apply = m.apply
-    r = _ESCAPE_RADIUS  # a local: the walk below runs once per step
-    x, y = float(point[0]), float(point[1])
     ux, uy = u
     s = 0.0
-    k = 0
-    while k < n:
-        # arrays of doubles, not lists of floats: a block holds no Python
-        # object per step
-        xs, ys = array("d"), array("d")
-        escaped = False
-        for _ in range(min(_BLOCK, n - k)):
-            xs.append(x)
-            ys.append(y)
-            x, y = apply(x, y)
-            if abs(x) > r or abs(y) > r:
-                escaped = True
-                break
-        J = np.empty((2, 2, len(xs)))
-        (J[0, 0], J[0, 1]), (J[1, 0], J[1, 1]) = m._jac_entries(
-            np.frombuffer(xs), np.frombuffer(ys)
-        )
-        S, e = _prefix_products(J)
-        v = S[:, 0] * ux + S[:, 1] * uy  # Tf^k u / 2^e, as (2, L)
+    for xs, ys, escaped in _orbit_blocks(m, z, n):
+        J = np.empty((2, 2, len(xs) - 1))
+        (J[0, 0], J[0, 1]), (J[1, 0], J[1, 1]) = m._jac_entries(xs[:-1], ys[:-1])
+        S, e = products(J)
+        v = S[:, 0] * ux + S[:, 1] * uy  # Tf^k u / 2^e, as (2, len(e))
         norm = np.hypot(v[0], v[1])
         with np.errstate(divide="ignore", invalid="ignore"):
             logdets = np.log(np.abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]))
@@ -379,10 +472,7 @@ def _tangent_blocks(
         else:
             s = float(ell[-1])
             ux, uy = dirs[-1]
-        k += len(xs)
         yield ell, dirs, logdets, escaped
-        if escaped:
-            return
 
 
 def tangent_cocycle(
@@ -396,6 +486,7 @@ def tangent_cocycle(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    z = _start_point(point)
     u = _unit(u)
     ell = np.full(n + 1, -math.inf)
     ell[0] = 0.0
@@ -404,7 +495,7 @@ def tangent_cocycle(
     logdets = np.empty(n)
     k = 0
     escaped = False
-    for e, d, ld, escaped in _tangent_blocks(m, point, u, n):
+    for e, d, ld, escaped in _tangent_blocks(m, z, u, n, _prefix_products):
         ell[k + 1 : k + 1 + len(e)] = e
         dirs[k + 1 : k + 1 + len(e)] = d
         logdets[k : k + len(ld)] = ld
@@ -412,7 +503,7 @@ def tangent_cocycle(
     if escaped:
         ell, dirs, logdets = ell[: k + 1], dirs[: k + 1], logdets[:k]
     return TangentProduct(
-        base=(float(point[0]), float(point[1])),
+        base=z,
         n=k if escaped else n,
         ell=ell,
         directions=dirs,
@@ -574,11 +665,12 @@ def lyapunov(m: HenonMap, point: Sequence[float], n: int) -> tuple[float, float]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    z = _start_point(point)
     ell = 0.0
     logdet = 0.0
     k = 0
-    for e, _, ld, escaped in _tangent_blocks(m, point, (1.0, 0.0), n):
-        k += len(e)
+    for e, _, ld, escaped in _tangent_blocks(m, z, (1.0, 0.0), n, _block_product):
+        k += len(ld)
         if escaped:
             raise RuntimeError(f"orbit escaped at step {k}")
         ell = float(e[-1])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,21 @@ def test_iterate_reports_escape_time():
     assert seg.escaped
     assert seg.escape_time is not None and seg.escape_time < 5
     assert len(seg.points) == seg.escape_time  # only in-radius points kept
+
+
+_FROM_A_POINT = {
+    "iterate": iterate,
+    "tangent_cocycle": lambda m, z, n: tangent_cocycle(m, z, (1.0, 0.0), n),
+    "lyapunov": lyapunov,
+}
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0)])
+@pytest.mark.parametrize("call", sorted(_FROM_A_POINT))
+def test_non_finite_start_point_is_refused(call, point):
+    # abs(nan) > r is false, so a NaN orbit would never escape
+    with pytest.raises(ValueError, match=re.escape(f"got ({point[0]}, {point[1]})")):
+        _FROM_A_POINT[call](HenonMap(a=-2.0), point, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +419,21 @@ _COCYCLE_CASES = {
     "square_kernel": (_square_kernel_map(-1.4), (0.1, 0.0), (0.6, 0.8)),
     "square_kernel_u": (_square_kernel_map(-1.4), (0.0, 0.0), (1.0, 0.0)),
     "square_escapes": (_square_kernel_map(3.0), (0.0, 0.0), (1.0, 0.0)),
+    # step 1 lands at (2.61, 11.4): the orbit leaves on y, not on x
+    "classical_escapes_on_y": (
+        HenonMap(a=-1.0, b=6.0, perturbation="classical"), (1.9, 0.0), (0.6, 0.8)
+    ),
 }
+# block seams and a partial last block
+_SEAM_NS = [1, 20, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
 
 
-@pytest.mark.parametrize("n", [1, 20, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("n", _SEAM_NS)
 @pytest.mark.parametrize("case", sorted(_COCYCLE_CASES))
 def test_tangent_cocycle_matches_the_scalar_recurrence(case, n):
-    # block seams and a partial last block; the prefix products reorder the
-    # arithmetic, so the ladder (a log) and the unit directions agree to a
-    # few hundred ulps, while the logdets and every exact event are equal
+    # the prefix products reorder the arithmetic, so the ladder (a log) and
+    # the unit directions agree to a few hundred ulps, while the logdets
+    # and every exact event are equal
     m, point, u = _COCYCLE_CASES[case]
     ell, dirs, logdets, escape_time = _reference_cocycle(m, point, u, n)
     tp = tangent_cocycle(m, point, u, n)
@@ -422,6 +444,47 @@ def test_tangent_cocycle_matches_the_scalar_recurrence(case, n):
     np.testing.assert_allclose(tp.ell, ell, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(tp.directions, dirs, rtol=0.0, atol=1e-12)
     assert np.array_equal(tp.logdets, logdets)
+
+
+@pytest.mark.parametrize("n", _SEAM_NS)
+@pytest.mark.parametrize("case", sorted(_COCYCLE_CASES))
+def test_lyapunov_is_the_last_rung_of_the_ladder(case, n):
+    # lyapunov forms only each block's last product, by a pairwise tree;
+    # it must give the prefix scan's last entry to the bit
+    m, point, _ = _COCYCLE_CASES[case]
+    tp = tangent_cocycle(m, point, (1.0, 0.0), n)
+    if tp.escaped:
+        with pytest.raises(RuntimeError, match=f"escaped at step {tp.escape_time}$"):
+            lyapunov(m, point, n)
+    else:
+        assert lyapunov(m, point, n)[0] == tp.ell[n] / n
+
+
+def _reference_orbit(m, point, n, escape_radius=10.0):
+    """The orbit by one apply call per step: (points, escape_time) as
+    iterate defines them."""
+    x, y = float(point[0]), float(point[1])
+    pts = [(x, y)]
+    for k in range(1, n + 1):
+        x, y = m.apply(x, y)
+        if abs(x) > escape_radius or abs(y) > escape_radius:
+            return np.array(pts), k
+        pts.append((x, y))
+    return np.array(pts), None
+
+
+@pytest.mark.parametrize("n", [0] + _SEAM_NS)
+@pytest.mark.parametrize("case", sorted(_COCYCLE_CASES))
+def test_iterate_matches_one_apply_per_step(case, n):
+    # the built-in maps step without calling apply: the points agree to
+    # the bit, signs of zero included
+    m, point, _ = _COCYCLE_CASES[case]
+    want, escape_time = _reference_orbit(m, point, n)
+    seg = iterate(m, point, n)
+    assert (seg.escaped, seg.escape_time) == (escape_time is not None, escape_time)
+    assert seg.n_requested == n
+    assert seg.points.shape == want.shape
+    assert seg.points.tobytes() == want.tobytes()
 
 
 def test_lyapunov_returns_python_floats():

@@ -268,6 +268,38 @@ def test_census_1d_sweep_is_complete_and_invariant(a):
             assert np.max(np.abs(roots - chebyshev_fixed_points(p))) <= 1e-11, p
 
 
+def in_proven_horseshoe(a, b):
+    """With x = a u and y = a v (a < 0) the classical map is the standard
+    Henon map (1 - A u^2 + v, B u), A = -a, B = b.  Its nonwandering set is
+    a hyperbolic horseshoe, conjugate to the full 2-shift, once A > (5 +
+    2 sqrt 5)(1 + B)^2 / 4 (Devaney & Nitecki, CMP 67, 1979)."""
+    return -a > (5.0 + 2.0 * math.sqrt(5.0)) * (1.0 + b) ** 2 / 4.0
+
+
+@pytest.mark.parametrize(
+    ("a", "b", "inside"),
+    [
+        (-2.5, 0.01, True),
+        (-3.0, 0.1, True),
+        (-4.5, 0.3, True),
+        (-6.0, 0.5, True),
+        (-2.0, 0.0, False),
+        (-1.4, 0.3, False),
+        (-2.0 + 1e-3, 1e-6, False),  # the census benchmark's map
+    ],
+)
+def test_in_proven_horseshoe(a, b, inside):
+    assert in_proven_horseshoe(a, b) is inside
+
+
+@pytest.mark.parametrize("a", [-2.4, -3.0, -5.0])
+def test_census_1d_counts_every_itinerary_in_the_proven_horseshoe(a):
+    # in the horseshoe Card Fix f^p = 2^p exactly, one point per itinerary
+    assert in_proven_horseshoe(a, 0.0)
+    for p in range(1, 13):
+        assert fixed_points_1d(a, p).size == 2**p, (a, p)
+
+
 def test_census_1d_sweep_reports_words_that_did_not_settle(monkeypatch):
     monkeypatch.setattr(orbits, "_SWEEP_CAP", 1)
     with pytest.raises(orbits.AnalysisError, match=r"^8 of 8 itineraries did not settle"):
