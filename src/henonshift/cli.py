@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,8 +73,6 @@ from .words import model_from_dict, synthetic_census
 
 
 class _Parser(argparse.ArgumentParser):
-    leaves: dict[str, argparse.ArgumentParser]  # "<group> <verb>" -> parser
-
     # exit 2 is reserved for analysis failures; argparse would default to 2
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -86,20 +84,29 @@ class _Parser(argparse.ArgumentParser):
 # helpers
 
 
+_SCALARS = frozenset({int, str, bool, type(None)})
+
+
 def _sanitize(x):
-    """JSON has no inf/nan literals, complex numbers or numpy values:
-    stringify the first, split the second into {"re", "im"}, and turn
-    the last into Python scalars and lists."""
+    """JSON has no inf/nan literals, complex numbers, numpy values or
+    dataclasses: stringify the first, split the second into {"re", "im"},
+    turn the third into Python scalars and lists, and read the last field
+    by field.  One pass; a plain scalar takes one type check."""
+    cls = type(x)
+    if cls is float:
+        return x if math.isfinite(x) else str(x)
+    if cls in _SCALARS:
+        return x
     if isinstance(x, complex):
-        return _sanitize({"re": x.real, "im": x.imag})
+        return {"re": _sanitize(x.real), "im": _sanitize(x.imag)}
     if isinstance(x, dict):
         return {k: _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_sanitize(v) for v in x]
-    if isinstance(x, float) and (math.isinf(x) or math.isnan(x)):
-        return str(x)
     if isinstance(x, (np.generic, np.ndarray)):
         return _sanitize(x.tolist())
+    if is_dataclass(x):
+        return {f.name: _sanitize(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -116,7 +123,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args: argparse.Namespace, result: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(args: argparse.Namespace, result, csv_rows=None, csv_header=None) -> None:
+    """Write the result (a dict or a dataclass), as JSON with the resolved
+    configuration, or the csv_rows under --format csv."""
     cfg = {
         k: v
         for k, v in vars(args).items()
@@ -224,17 +233,17 @@ def _cmd_shift_mme(args) -> int:
     g = _graph(args)
     spec = perron(g, tol=args.tol)
     chain = build_mme(spec, g)
-    idx = {v: i for i, v in enumerate(chain.vertices)}
-    p: dict[str, dict[str, float]] = {u: {} for u in chain.vertices}
-    for u, v in g.arrows:
-        p[u][v] = chain.p[idx[u], idx[v]]
+    V = chain.vertices
+    p: dict[str, dict[str, float]] = {u: {} for u in V}
+    for i, j, q in zip(g._src.tolist(), g._dst.tolist(), chain.p[g._src, g._dst].tolist()):
+        p[V[i]][V[j]] = q
     _emit(
         args,
         {
-            "vertices": list(chain.vertices),
+            "vertices": list(V),
             "h_top": chain.h_top,
             "chain_entropy": chain_entropy(chain),
-            "pi": {v: chain.pi[idx[v]] for v in chain.vertices},
+            "pi": dict(zip(V, chain.pi.tolist())),
             "p": p,
             "residual": spec.residual,
             "tol": args.tol,
@@ -307,7 +316,7 @@ def _cmd_orbits_census(args) -> int:
         "n_orbits": len(c.orbits),
         "stable": c.stable,
         "tol": c.tol,
-        "orbits": [asdict(o) for o in c.orbits],
+        "orbits": c.orbits,
     }
     _emit(args, result, csv_rows=_census_csv_rows(c), csv_header=_CENSUS_CSV_HEADER)
     return 0
@@ -321,7 +330,7 @@ def _cmd_orbits_entropy(args) -> int:
         for p in range(args.p_min, args.p_max + 1)
     ]
     est = entropy_from_census(censuses)
-    _emit(args, asdict(est))
+    _emit(args, est)
     return 0
 
 
@@ -332,7 +341,7 @@ def _cmd_orbits_equidist(args) -> int:
     else:
         points = periodic_orbits_2d(m, args.p, grid=_parse_grid(args.grid), tol=args.tol)
     rep = equidistribution_test(points, statistic=args.statistic)
-    _emit(args, asdict(rep) | {"threshold": args.threshold})
+    _emit(args, vars(rep) | {"threshold": args.threshold})
     if args.threshold is not None and rep.distance > args.threshold:
         return 2
     return 0
@@ -357,7 +366,7 @@ def _cmd_stats_mixing(args) -> int:
             else scale * fit.kappa ** (lag - fit.used[0])
         )
         rows.append((lag, v, fitted))
-    _emit(args, asdict(fit), csv_rows=rows, csv_header=["lag", "cov", "fit"])
+    _emit(args, fit, csv_rows=rows, csv_header=["lag", "cov", "fit"])
     return 0
 
 
@@ -371,7 +380,7 @@ def _cmd_stats_clt(args) -> int:
         psi = _observable(args.psi)
     rep = clt_test(m, mu, psi, n=args.n, trials=args.trials, alpha=args.alpha,
                    seed=args.seed)
-    _emit(args, asdict(rep))
+    _emit(args, rep)
     if rep.degenerate:
         return 0
     return 0 if rep.passed else 2
@@ -439,13 +448,14 @@ def _cmd_stats_return_decay(args) -> int:
             h_top = -math.log(r.R)
     fit = return_decay_check(chain, census, h_top)
     rows = list(zip(fit.lags, fit.values))
-    _emit(args, asdict(fit) | {"h_top": h_top},
+    _emit(args, vars(fit) | {"h_top": h_top},
           csv_rows=rows, csv_header=["n", "tail"])
     return 0 if fit.exponential else 2
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: one table of verbs; a run builds the parser of the verb
+# it names, not the whole tree
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -461,71 +471,48 @@ def _add_map_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--perturbation", choices=("zero", "classical"), default=None)
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="henonshift", description=__doc__)
-    ap.add_argument("--version", action="version", version=__version__)
-    top = ap.add_subparsers(dest="group", required=True)
-    ap.leaves = {}
-
-    def verb(sub, command: str, func: Callable) -> _Parser:
-        sp = ap.leaves[command] = sub.add_parser(command.split()[1])
-        sp.set_defaults(func=func, _command=command)
-        return sp
-
-    shift = top.add_parser("shift", help="countable Markov shift analyses")
-    shift_sub = shift.add_subparsers(dest="verb", required=True)
-
-    sp = verb(shift_sub, "shift entropy", _cmd_shift_entropy)
+def _graph_tol_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--tol", type=float, default=1e-13)
-    _add_common(sp)
 
-    sp = verb(shift_sub, "shift mme", _cmd_shift_mme)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--tol", type=float, default=1e-13)
-    _add_common(sp)
 
-    sp = verb(shift_sub, "shift spr", _cmd_shift_spr)
+def _shift_spr_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--horizon", type=int, default=64)
     sp.add_argument("--margin", type=float, default=0.05)
-    _add_common(sp)
 
-    sp = verb(shift_sub, "shift fix-count", _cmd_shift_fix_count)
+
+def _graph_p_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
 
-    sp = verb(shift_sub, "shift equidist", _cmd_shift_equidist)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--p", type=int, required=True)
+
+def _shift_equidist_flags(sp: argparse.ArgumentParser) -> None:
+    _graph_p_flags(sp)
     sp.add_argument("--cylinder", required=True,
                     help="comma-separated vertex names, e.g. g0,g0")
     sp.add_argument("--threshold", type=float, default=None,
                     help="exit 2 if |empirical - mme| exceeds this")
-    _add_common(sp)
 
-    orbits = top.add_parser("orbits", help="periodic-orbit censuses")
-    orbits_sub = orbits.add_subparsers(dest="verb", required=True)
 
-    sp = verb(orbits_sub, "orbits census", _cmd_orbits_census)
+def _orbits_census_flags(sp: argparse.ArgumentParser) -> None:
     _add_map_flags(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--refine-check", action="store_true")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
 
-    sp = verb(orbits_sub, "orbits entropy", _cmd_orbits_entropy)
+
+def _orbits_entropy_flags(sp: argparse.ArgumentParser) -> None:
     _add_map_flags(sp)
     sp.add_argument("--p-min", type=int, default=1)
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--grid", default="256x8")
     sp.add_argument("--tol", type=float, default=1e-12)
-    _add_common(sp)
 
-    sp = verb(orbits_sub, "orbits equidist", _cmd_orbits_equidist)
+
+def _orbits_equidist_flags(sp: argparse.ArgumentParser) -> None:
     _add_map_flags(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--statistic", choices=("KS", "cylinder"), default="KS")
@@ -534,12 +521,9 @@ def build_parser() -> _Parser:
                     help="Newton tolerance of the 2-D census; the 1-D census (b = 0) "
                     "reads none: it sweeps to convergence for a <= -2, bisects above")
     sp.add_argument("--threshold", type=float, default=None)
-    _add_common(sp)
 
-    stats = top.add_parser("stats", help="statistical verification")
-    stats_sub = stats.add_subparsers(dest="verb", required=True)
 
-    sp = verb(stats_sub, "stats mixing", _cmd_stats_mixing)
+def _stats_mixing_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--a", type=float, default=-2.0)
@@ -547,9 +531,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--g", default="x", help=_OBSERVABLES)
     sp.add_argument("--h", dest="obs_h", default="x", help=_OBSERVABLES)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
 
-    sp = verb(stats_sub, "stats clt", _cmd_stats_clt)
+
+def _stats_clt_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sample-n", type=int, default=50_000)
     sp.add_argument("--n", type=int, default=4096)
     sp.add_argument("--trials", type=int, default=2000)
@@ -557,36 +541,77 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--a", type=float, default=-2.0)
     sp.add_argument("--psi", default="x", help=_OBSERVABLES + " | coboundary")
-    _add_common(sp)
 
-    sp = verb(stats_sub, "stats boxdim", _cmd_stats_boxdim)
+
+def _stats_boxdim_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--points", help="CSV file of coordinates")
     sp.add_argument("--set", choices=("segment", "square", "cantor"))
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--scales", help="comma-separated box sizes")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
 
-    sp = verb(stats_sub, "stats return-decay", _cmd_stats_return_decay)
+
+def _stats_return_decay_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", help="Markov graph JSON")
     sp.add_argument("--model", help="suitability-model JSON")
     sp.add_argument("--horizon", type=int, default=120)
     sp.add_argument("--h-top", type=float, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
 
+
+_GROUPS = {
+    "shift": "countable Markov shift analyses",
+    "orbits": "periodic-orbit censuses",
+    "stats": "statistical verification",
+}
+
+
+def _verbs() -> dict[str, tuple[Callable, Callable]]:
+    """The verb table: "<group> <verb>" -> (handler, function adding the
+    verb's own flags), in the order the help lists them; _add_common adds
+    the flags every verb takes.  Built per call, so the handlers are the
+    module's attributes at that time."""
+    return {
+        "shift entropy": (_cmd_shift_entropy, _graph_tol_flags),
+        "shift mme": (_cmd_shift_mme, _graph_tol_flags),
+        "shift spr": (_cmd_shift_spr, _shift_spr_flags),
+        "shift fix-count": (_cmd_shift_fix_count, _graph_p_flags),
+        "shift equidist": (_cmd_shift_equidist, _shift_equidist_flags),
+        "orbits census": (_cmd_orbits_census, _orbits_census_flags),
+        "orbits entropy": (_cmd_orbits_entropy, _orbits_entropy_flags),
+        "orbits equidist": (_cmd_orbits_equidist, _orbits_equidist_flags),
+        "stats mixing": (_cmd_stats_mixing, _stats_mixing_flags),
+        "stats clt": (_cmd_stats_clt, _stats_clt_flags),
+        "stats boxdim": (_cmd_stats_boxdim, _stats_boxdim_flags),
+        "stats return-decay": (_cmd_stats_return_decay, _stats_return_decay_flags),
+    }
+
+
+def _tree_parser() -> _Parser:
+    """The group/verb tree without verb flags: it serves --help, --version,
+    a bare group and an unknown group or verb."""
+    ap = _Parser(prog="henonshift", description=__doc__)
+    ap.add_argument("--version", action="version", version=__version__)
+    top = ap.add_subparsers(dest="group", required=True)
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="verb", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for command in _verbs():
+        group, verb = command.split()
+        groups[group].add_parser(verb)
     return ap
 
 
-def _config_flags(leaf: argparse.ArgumentParser, path: str) -> list[str]:
+def _config_flags(sp: argparse.ArgumentParser, path: str) -> list[str]:
     """The flags a --config file of `dest: value` entries stands for:
     `--flag=value`, or the bare flag for a true store_true entry.  False
     store_true entries and null entries are left out."""
     cfg = _load_json_file(path)
     if not isinstance(cfg, dict):
         raise ValueError("--config file must hold a JSON object")
-    actions = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    actions = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
     unknown = sorted(k for k in cfg if k not in actions)
     if unknown:
         raise ValueError(f"--config has unknown keys: {', '.join(unknown)}")
@@ -604,26 +629,33 @@ def _config_flags(leaf: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
-def _parse_args(ap: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv once, with the --config entries as flags right after
-    `<group> <verb>`: they pass the same type and choices checks as typed
-    flags and may supply required ones, and the command line's own flags
-    win because argparse keeps the last value given."""
-    leaf = ap.leaves.get(" ".join(argv[:2]))
-    if leaf is not None:
-        pre = _Parser(prog=leaf.prog, add_help=False)
-        pre.add_argument("--config")
-        path = pre.parse_known_args(argv[2:])[0].config
-        if path:
-            argv = argv[:2] + _config_flags(leaf, path) + argv[2:]
-    return ap.parse_args(argv)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the verb that argv[:2] names, with
+    the --config entries as flags ahead of argv[2:]: they pass the same
+    type and choices checks as typed flags and may supply required ones,
+    and the command line's own flags win because argparse keeps the last
+    value given.  Without a verb, the tree parser prints help, the version
+    or a usage error, and exits."""
+    verbs = _verbs()
+    command = " ".join(argv[:2])
+    if len(argv) < 2 or command not in verbs:
+        _tree_parser().parse_args(argv)
+    func, add_flags = verbs[command]
+    sp = _Parser(prog=f"henonshift {command}")  # the prog the tree would give it
+    add_flags(sp)
+    _add_common(sp)
+    sp.set_defaults(func=func, _command=command, group=argv[0], verb=argv[1])
+    pre = _Parser(prog=sp.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[2:])[0].config
+    flags = _config_flags(sp, path) if path else []
+    return sp.parse_args(flags + argv[2:])
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = _parse_args(ap, argv)
+        args = _parse_args(argv)
         if getattr(args, "perturbation", "unset") is None:
             args.perturbation = "classical" if args.b != 0.0 else "zero"
         return args.func(args)

@@ -214,16 +214,20 @@ def iterate(m: HenonMap, point: Sequence[float], n: int) -> OrbitSegment:
     if n < 0:
         raise ValueError("n must be >= 0")
     z = _start_point(point)
-    pts = np.empty((n + 1, 2))
+    # grown in place as the walk goes, so memory follows the orbit returned,
+    # not n; doubling keeps the copies a realloc may make to O(steps)
+    pts = np.empty((1, 2))
     pts[0] = z
     k = 0
     for xs, ys, escaped in _orbit_blocks(m, z, n):
-        pts[k + 1 : k + len(xs), 0], pts[k + 1 : k + len(xs), 1] = xs[1:], ys[1:]
-        k += len(xs) - 1
+        L = len(xs) - 1
+        if k + L >= len(pts):
+            pts.resize((min(n, 2 * (k + L)) + 1, 2), refcheck=False)
+        pts[k + 1 : k + L + 1, 0], pts[k + 1 : k + L + 1, 1] = xs[1:], ys[1:]
+        k += L
         if escaped:  # pts[k] is the first point outside the radius
-            return OrbitSegment(
-                points=pts[:k].copy(), escaped=True, escape_time=k, n_requested=n
-            )
+            pts.resize((k, 2), refcheck=False)
+            return OrbitSegment(points=pts, escaped=True, escape_time=k, n_requested=n)
     return OrbitSegment(points=pts, escaped=False, escape_time=None, n_requested=n)
 
 

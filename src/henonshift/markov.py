@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -309,18 +308,18 @@ def count_loops(graph: MarkovGraph, N: int) -> LoopCensus:
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    depth = _bfs_depths(graph, reverse=True, cap=N)
+    depth, reached = _bfs_depths(graph, reverse=True, cap=N)
     pos = np.full(graph.n, -1, dtype=np.intp)
-    pos[list(depth)] = np.arange(len(depth))
+    pos[reached] = np.arange(len(reached))
     src, dst = pos[graph._src], pos[graph._dst]
     keep = (src >= 0) & (dst >= 0)
     walk = _walker(src[keep], dst[keep])
     # within[k]: the number of vertices within k arrows of the base
-    within = np.searchsorted(list(depth.values()), np.arange(N), side="right").tolist()
+    within = np.searchsorted([depth[v] for v in reached], np.arange(N), side="right").tolist()
 
     # row 0 counts all paths from the base, row 1 those that avoid the base
     # strictly between the endpoints
-    vec = np.zeros((2, len(depth)), dtype=np.int64)
+    vec = np.zeros((2, len(reached)), dtype=np.int64)
     vec[:, 0] = 1
     Z: list[int] = []
     Zstar: list[int] = []
@@ -416,11 +415,11 @@ def is_spr(census: LoopCensus, margin: float = 0.0) -> SprReport:
 
 def _bfs_depths(
     graph: MarkovGraph, reverse: bool = False, cap: float = math.inf
-) -> dict[int, int]:
-    """Path length, at most cap, from the base to each vertex it reaches
-    (to the base from each vertex, when reverse), keyed in breadth-first
-    order; the arrows out of (into) a vertex are one slice of the index
-    arrays sorted by source (by target)."""
+) -> tuple[list[int], list[int]]:
+    """Path length, at most cap, from the base to each vertex (to the base
+    from each vertex, when reverse), -1 where none is; and the vertices it
+    reaches, in breadth-first order.  The arrows out of (into) a vertex are
+    one slice of the index arrays sorted by source (by target)."""
     key, nbr = graph._src, graph._dst
     if reverse:
         order = np.argsort(nbr, kind="stable")
@@ -428,31 +427,29 @@ def _bfs_depths(
     starts = np.searchsorted(key, np.arange(graph.n + 1)).tolist()
     nbr = nbr.tolist()
     b = graph._idx[graph.base]
-    depth = {b: 0}
-    queue = deque([b])
-    while queue:
-        u = queue.popleft()
+    depth = [-1] * graph.n
+    depth[b] = 0
+    reached = [b]  # also the queue: the loop reads on as it appends
+    for u in reached:
         d = depth[u] + 1
         if d > cap:
             break
         for v in nbr[starts[u] : starts[u + 1]]:
-            if v not in depth:
+            if depth[v] < 0:
                 depth[v] = d
-                queue.append(v)
-    return depth
+                reached.append(v)
+    return depth, reached
 
 
-def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, dict[int, int]]:
+def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, list[int]]:
     """strongly_connected_defect and the forward BFS depths it searched;
     the reverse search runs only when the base reaches every vertex."""
-    depth = _bfs_depths(graph)
-    for i, v in enumerate(graph.vertices):
-        if i not in depth:
-            return (graph.base, v), depth
-    back = _bfs_depths(graph, reverse=True)
-    for i, v in enumerate(graph.vertices):
-        if i not in back:
-            return (v, graph.base), depth
+    depth = _bfs_depths(graph)[0]
+    if -1 in depth:
+        return (graph.base, graph.vertices[depth.index(-1)]), depth
+    back = _bfs_depths(graph, reverse=True)[0]
+    if -1 in back:
+        return (graph.vertices[back.index(-1)], graph.base), depth
     return None, depth
 
 
@@ -471,8 +468,7 @@ def graph_period(graph: MarkovGraph) -> int:
     defect, forward = _defect_and_depths(graph)
     if defect is not None:
         raise NotStronglyConnectedError(*defect)
-    depth = np.empty(graph.n, dtype=np.intp)
-    depth[list(forward)] = list(forward.values())
+    depth = np.array(forward, dtype=np.intp)
     g = int(np.gcd.reduce(depth[graph._src] + 1 - depth[graph._dst]))
     if g == 0:
         raise AnalysisError("graph has no cycle; period undefined")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from henonshift import cli, markov, orbits
+from henonshift import cli, markov, orbits, stats
 from henonshift.cli import main
 from henonshift.henon import HenonMap
 from henonshift.markov import graph_from_dict, gurevich_entropy
@@ -498,6 +498,9 @@ def test_json_only_verbs_reject_format(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([a.format(graph=g) for a in argv] + ["--format", "csv"])
     assert exc.value.code == 1
+    # the verb's own parser refuses the flag, and names the verb
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"henonshift {argv[0]} {argv[1]}: error: unrecognized arguments: --format csv"
 
 
 def test_stats_clt_json(capsys):
@@ -565,6 +568,39 @@ def test_numpy_values_reach_strict_json(capsys):
     assert doc["result"] == {"n": 7, "v": ["inf", 1.0]}
 
 
+def _complex_census():
+    orbit = orbits.PeriodicOrbit(
+        representative=(0.25, -0.5), least_period=2,
+        multipliers=(complex(0.3, 0.4), complex(0.3, -0.4)), residual=float("nan"),
+    )
+    return orbits.PeriodicCensus(
+        p=2, orbits=(orbit,), count_fix=2, points=np.array([[0.25, -0.5], [-0.5, 0.25]]),
+        tol=1e-12, stable=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _complex_census,
+        lambda: stats.return_decay_check(
+            None, markov.count_loops(graph_from_dict(GOLDEN), 30), math.log((1 + 5**0.5) / 2)
+        ),
+        lambda: CltReport(
+            statistic=math.nan, p_value=math.nan, sigma_hat=math.nan, static_sd=math.nan,
+            degenerate=True, passed=None, trials=500, n=64, alpha=0.01, seed=2,
+        ),
+        lambda: orbits.entropy_from_census([(1, 2), (2, 4), (3, 8), (4, 16)]),
+    ],
+    ids=["PeriodicCensus", "DecayFit", "CltReport", "EntropyEstimate"],
+)
+def test_sanitize_reads_dataclasses_as_asdict_does(record):
+    # one pass over the record gives what a deep copy through asdict gave
+    x = record()
+    assert cli._sanitize(x) == cli._sanitize(dataclasses.asdict(x))
+    json.dumps(cli._sanitize(x), allow_nan=False)
+
+
 def test_stats_return_decay_model_route(tmp_path, capsys):
     model = _write(tmp_path, "m.json", {"M": 100, "b": 1e-8, "model": "full"})
     code, doc = _run_json(
@@ -588,6 +624,41 @@ def test_out_is_atomic_and_idempotent(tmp_path):
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_a_verb_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    g = _write(tmp_path, "g.json", GOLDEN)
+    code, doc = _run_json(capsys, ["shift", "entropy", "--graph", g])
+    assert code == 0
+    # the verb's parser and the --config pre-parser, no tree
+    assert built == ["henonshift shift entropy"] * 2
+    assert (doc["command"], doc["config"]["group"], doc["config"]["verb"]) == (
+        "shift entropy", "shift", "entropy")
+
+
+@pytest.mark.parametrize("command", list(cli._verbs()))
+def test_every_verb_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: henonshift {command} [-h]")
+
+
+@pytest.mark.parametrize("group", list(cli._GROUPS))
+def test_group_help_lists_its_verbs(group, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([group, "--help"])
+    assert exc.value.code == 0
+    verbs = [c.split()[1] for c in cli._verbs() if c.startswith(group + " ")]
+    assert "{" + ",".join(verbs) + "}" in capsys.readouterr().out
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import henonshift
+from henonshift import cli
 from henonshift.cli import main
 from henonshift.markov import golden_mean_graph, graph_to_dict
 
@@ -50,6 +51,18 @@ def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(shlex.split(line)[1:])
     assert code == 0, capsys.readouterr().err
+
+
+def test_readme_verb_listing_matches_the_cli_table():
+    # the README lists each group's verbs as `henonshift <group> {v1,v2,...}`
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^henonshift (\w+) +\{([^}]*)\}", readme, re.M)
+    table: dict[str, list[str]] = {}
+    for command in cli._verbs():
+        group, verb = command.split()
+        table.setdefault(group, []).append(verb)
+    assert [(g, v.split(",")) for g, v in listed] == list(table.items())
+    assert [g for g, _ in listed] == list(cli._GROUPS)
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,31 @@ def test_iterate_reports_escape_time():
     assert len(seg.points) == seg.escape_time  # only in-radius points kept
 
 
+def _iterate_peak(m, z, n):
+    iterate(m, z, 10)  # keeps one-time caches out of the peak
+    tracemalloc.start()
+    try:
+        seg = iterate(m, z, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return seg, peak
+
+
+def test_iterate_memory_follows_the_orbit_returned():
+    # the orbit escapes at step 1, so a horizon of 10^7 must not cost
+    # 10^7 points
+    seg, peak = _iterate_peak(HenonMap(a=3.0), (3.0, 0.0), 10**7)
+    assert seg.escape_time == 1
+    assert peak < 1_000_000  # bytes: 160 MB would hold all 10^7 + 1 points
+    # an orbit that runs its whole horizon holds its points about once, not
+    # once in blocks and again in the array returned
+    n = 200_000
+    seg, peak = _iterate_peak(HenonMap(a=-2.0), (0.3, 0.0), n)
+    assert not seg.escaped and len(seg) == n + 1
+    assert peak < 1.75 * seg.points.nbytes
+
+
 _FROM_A_POINT = {
     "iterate": iterate,
     "tangent_cocycle": lambda m, z, n: tangent_cocycle(m, z, (1.0, 0.0), n),
