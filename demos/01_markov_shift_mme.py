@@ -20,6 +20,7 @@ from henonshift.markov import (
     equidistribution_cylinder,
     full_shift_graph,
     golden_mean_graph,
+    gurevich_entropy,
     is_spr,
     perron,
     radii,
@@ -32,7 +33,7 @@ chain = build_mme(spec, g)
 
 phi = (1 + math.sqrt(5)) / 2
 print("golden-mean shift")
-print(f"  entropy        {chain.h_top:.12f}   (log phi = {math.log(phi):.12f})")
+print(f"  entropy        {gurevich_entropy(g):.12f}   (log phi = {math.log(phi):.12f})")
 print(f"  stationary pi  {np.round(chain.pi, 6)}")
 print(f"  chain entropy  {chain_entropy(chain):.12f}")
 

@@ -1,7 +1,8 @@
 """Truncated Markov shifts, Henon-family checks, periodic-orbit censuses,
 and word-combinatorics dimension bounds.
 
-Five submodules:
+Five library submodules, re-exported here, beside params (M, b and the
+constants derived from them) and cli (the henonshift command line):
 
 - markov: loop censuses, Gurevich entropy, the entropy-maximizing chain,
   strong-positive-recurrence tests, cylinder equidistribution.
@@ -9,8 +10,9 @@ Five submodules:
   divisibility order, covering sums and dimension upper bounds.
 - henon: the quadratic family with small perturbations, tangent cocycles,
   cone-field and expansion checks, Lyapunov exponents.
-- orbits: periodic-orbit censuses (1-D bisection and 2-D batched
-  Newton), entropy fits, equidistribution against the arcsine law.
+- orbits: periodic-orbit censuses (1-D by inverse-branch sweeps for
+  a <= -2 and bisection above, 2-D by batched Newton), entropy fits,
+  equidistribution against the arcsine law.
 - stats: samplers for the invariant law, covariance-decay and CLT tests,
   Young's dimension formula, box-counting, return-time decay.
 """
@@ -27,20 +29,15 @@ from .markov import (
     build_mme,
     chain_entropy,
     count_loops,
-    cycle_graph,
     equidistribution_cylinder,
     full_shift_graph,
     golden_mean_graph,
     graph_from_dict,
     graph_to_dict,
     gurevich_entropy,
-    is_mixing,
     is_spr,
-    load_graph,
     perron,
     radii,
-    return_time_tail,
-    self_loop_graph,
     shift_periodic_census,
 )
 from .words import (
@@ -48,7 +45,6 @@ from .words import (
     Symbol,
     Word,
     UNIT_WORD,
-    aleph,
     block_sum,
     canonical_spellings,
     count_prime_words,
@@ -58,12 +54,8 @@ from .words import (
     divides,
     enumerate_words,
     full_model,
-    is_xi_regular,
     model_from_dict,
-    model_to_dict,
-    simple_only_model,
     synthetic_census,
-    validate_common_sequence,
     zstar_from_model,
 )
 from .henon import (
@@ -75,8 +67,6 @@ from .henon import (
     horizontal_cone,
     iterate,
     lyapunov,
-    map_from_dict,
-    map_to_dict,
     most_contracted_direction,
     pce_check,
     region_sample_U,
@@ -86,13 +76,11 @@ from .orbits import (
     PeriodicCensus,
     PeriodicOrbit,
     arcsine_cdf,
-    census_to_csv,
     chebyshev_fixed_points,
     entropy_from_census,
     equidistribution_test,
     exceptional_bound,
     fixed_points_1d,
-    k_square_entropy,
     periodic_orbits_2d,
 )
 from .stats import (

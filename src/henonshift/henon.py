@@ -12,7 +12,6 @@ exponents.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -28,9 +27,6 @@ __all__ = [
     "horizontal_cone",
     "OrbitSegment",
     "TangentProduct",
-    "map_from_dict",
-    "map_to_dict",
-    "load_map",
     "iterate",
     "tangent_cocycle",
     "region_sample_U",
@@ -92,12 +88,6 @@ class HenonMap:
         bx, by = _broadcasting(self.custom_B, x, y)
         return (x * x + self.a + y + bx, by)
 
-    def step(self, Z: np.ndarray) -> np.ndarray:
-        """f at every row of an (n, 2) array, as (n, 2)."""
-        F = np.empty((len(Z), 2))
-        F[:, 0], F[:, 1] = self.apply(Z[:, 0], Z[:, 1])
-        return F
-
     def jac(self, Z: np.ndarray) -> np.ndarray:
         """Tf at every row of an (n, 2) array, as (n, 2, 2)."""
         J = np.empty((len(Z), 2, 2))
@@ -138,28 +128,6 @@ def _broadcasting(fn: Callable, x, y):
         return fn(x, y)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"custom_B and custom_dB must follow numpy broadcasting: {exc}") from exc
-
-
-def map_from_dict(data: dict) -> HenonMap:
-    """Build a map from {"a": ..., "b": ..., "perturbation": "classical"}."""
-    try:
-        a = float(data["a"])
-        b = float(data.get("b", 0.0))
-        pert = str(data.get("perturbation", "zero"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed map document: {exc}") from exc
-    if pert == "custom":
-        raise ValueError("custom perturbations cannot be loaded from JSON")
-    return HenonMap(a=a, b=b, perturbation=pert)
-
-
-def map_to_dict(m: HenonMap) -> dict:
-    return {"a": m.a, "b": m.b, "perturbation": m.perturbation}
-
-
-def load_map(path: str) -> HenonMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return map_from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ spectral side is float64 with an explicit residual.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import mul
@@ -36,15 +35,10 @@ __all__ = [
     "chain_entropy",
     "shift_periodic_census",
     "equidistribution_cylinder",
-    "is_mixing",
-    "return_time_tail",
     "graph_from_dict",
     "graph_to_dict",
-    "load_graph",
     "golden_mean_graph",
     "full_shift_graph",
-    "cycle_graph",
-    "self_loop_graph",
 ]
 
 
@@ -141,14 +135,6 @@ def graph_to_dict(graph: MarkovGraph) -> dict:
     }
 
 
-def load_graph(path: str) -> MarkovGraph:
-    """Read a graph JSON file.  json.JSONDecodeError (with line/column)
-    propagates to the caller on malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return graph_from_dict(data)
-
-
 def golden_mean_graph() -> MarkovGraph:
     """Two vertices, arrows 0->0, 0->1, 1->0; no 1->1."""
     return MarkovGraph(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "0")}), "0")
@@ -158,16 +144,6 @@ def full_shift_graph(k: int = 2) -> MarkovGraph:
     """Complete graph on k vertices (all k^2 arrows)."""
     vs = tuple(str(i) for i in range(k))
     return MarkovGraph(vs, frozenset((u, v) for u in vs for v in vs), "0")
-
-
-def cycle_graph(n: int) -> MarkovGraph:
-    vs = tuple(str(i) for i in range(n))
-    arrows = frozenset((vs[i], vs[(i + 1) % n]) for i in range(n))
-    return MarkovGraph(vs, arrows, "0")
-
-
-def self_loop_graph() -> MarkovGraph:
-    return MarkovGraph(("e",), frozenset({("e", "e")}), "e")
 
 
 @dataclass(frozen=True)
@@ -240,11 +216,8 @@ class MaxEntropyChain:
     pi: np.ndarray
     p: np.ndarray
 
-    def index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def pi_of(self, v: str) -> float:
-        return float(self.pi[self.index(v)])
+        return float(self.pi[self.vertices.index(v)])
 
 
 @dataclass(frozen=True)
@@ -442,8 +415,9 @@ def _bfs_depths(
 
 
 def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, list[int]]:
-    """strongly_connected_defect and the forward BFS depths it searched;
-    the reverse search runs only when the base reaches every vertex."""
+    """None when strongly connected, else a vertex pair (u, v) with no path
+    u -> v; and the forward BFS depths it searched.  The reverse search
+    runs only when the base reaches every vertex."""
     depth = _bfs_depths(graph)[0]
     if -1 in depth:
         return (graph.base, graph.vertices[depth.index(-1)]), depth
@@ -451,12 +425,6 @@ def _defect_and_depths(graph: MarkovGraph) -> tuple[tuple[str, str] | None, list
     if -1 in back:
         return (graph.vertices[back.index(-1)], graph.base), depth
     return None, depth
-
-
-def strongly_connected_defect(graph: MarkovGraph) -> tuple[str, str] | None:
-    """None when strongly connected, else a vertex pair (u, v) with no
-    path u -> v."""
-    return _defect_and_depths(graph)[0]
 
 
 def graph_period(graph: MarkovGraph) -> int:
@@ -473,14 +441,6 @@ def graph_period(graph: MarkovGraph) -> int:
     if g == 0:
         raise AnalysisError("graph has no cycle; period undefined")
     return g
-
-
-def is_mixing(graph: MarkovGraph) -> bool:
-    """Topological mixing: strongly connected with coprime loop lengths."""
-    try:
-        return graph_period(graph) == 1
-    except NotStronglyConnectedError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +644,11 @@ def equidistribution_cylinder(
     walks of length p through that word, so the empirical count is the
     number of paths v_k -> v_0 of length p - k.  The uniform measure on
     Fix sigma^p is shift invariant, so every position gives the same mass.
+    chain is the graph's maximal-entropy chain, over the same vertex tuple.
     """
     _check_cylinder(graph, p, cyl)
+    if chain.vertices != graph.vertices:
+        raise ValueError("the chain's vertices differ from the graph's")
     k = len(cyl) - 1
     total = shift_periodic_census(graph, p)
     if total == 0:
@@ -697,15 +660,7 @@ def equidistribution_cylinder(
     start = np.eye(1, graph.n, idx[cyl.word[-1]], dtype=np.int64)
     count = int(_walker(graph._src, graph._dst)(start, p - k, graph.n)[0, idx[cyl.word[0]]])
     empirical = count / total
-    mme = chain.pi_of(cyl.word[0])
+    mme = float(chain.pi[idx[cyl.word[0]]])
     for u, v in zip(cyl.word, cyl.word[1:]):
-        mme *= float(chain.p[chain.index(u), chain.index(v)])
+        mme *= float(chain.p[idx[u], idx[v]])
     return CylinderComparison(empirical=float(empirical), mme=float(mme))
-
-
-def return_time_tail(chain: MaxEntropyChain, census: LoopCensus, n: int) -> float:
-    """pi_e Z*_n e^{-n h_top}: the first-return probability at time n."""
-    if not (1 <= n <= census.horizon):
-        raise ValueError("n must lie within the census horizon")
-    pi_e = chain.pi_of(census.base)
-    return pi_e * census.zstar(n) * math.exp(-n * chain.h_top)

@@ -15,7 +15,6 @@ equidistribution is tested against an analytic or sampled reference law.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -39,8 +38,6 @@ __all__ = [
     "arcsine_cdf",
     "ExceptionalBound",
     "exceptional_bound",
-    "k_square_entropy",
-    "census_to_csv",
 ]
 
 
@@ -556,19 +553,6 @@ def exceptional_bound(p: int, M: int) -> ExceptionalBound:
     return ExceptionalBound(p=p, M=M, value=value, ratio=ratio, log_ratio=log_ratio)
 
 
-def k_square_entropy(M: int) -> float:
-    """Topological entropy log 2 / (M+1) of the square-symbol subsystem."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return math.log(2.0) / (M + 1)
-
-
-def square_horseshoe_censuses(M: int, n_max: int) -> list[tuple[int, int]]:
-    """Synthetic censuses of the square subsystem: the return map at time
-    M+1 is a full 2-shift, so Card Fix f^{n(M+1)} = 2^n."""
-    return [(n * (M + 1), 2**n) for n in range(1, n_max + 1)]
-
-
 # ---------------------------------------------------------------------------
 # export
 
@@ -596,11 +580,3 @@ def _census_csv_rows(census: PeriodicCensus) -> list[tuple]:
         )
         for o in census.orbits
     ]
-
-
-def census_to_csv(census: PeriodicCensus, path: str) -> None:
-    """Write one row per orbit: p,least_period,x,y,mult1,mult2,residual."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CENSUS_CSV_HEADER)
-        w.writerows(_census_csv_rows(census))

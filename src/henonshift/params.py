@@ -11,6 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+__all__ = ["Params"]
+
 
 @dataclass(frozen=True)
 class Params:

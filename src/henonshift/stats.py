@@ -1,9 +1,10 @@
 """Statistical verification of the maximal-entropy measure's properties.
 
-Samplers for the 1-D invariant law (inverse-CDF and chain-simulation
-routes), covariance-decay fits with an explicit noise floor, a CLT test
-with a degenerate (coboundary) branch, Young's dimension formula, a
-box-counting estimator, and the return-time decay check.
+Samplers for the 1-D invariant law (an inverse-CDF draw, and a draw of the
+binary angle once the full 2-shift's chain is checked to be uniform; no
+chain is simulated), covariance-decay fits with an explicit noise floor, a
+CLT test with a degenerate (coboundary) branch, Young's dimension formula,
+a box-counting estimator, and the return-time decay check.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ __all__ = [
 class EmpiricalMeasure:
     """Uniform sample set with a provenance tag: each point has mass 1/n.
 
-    provenance is one of "periodic-census", "chain-simulation",
-    "inverse-CDF" (or a free-form tag for synthetic inputs).
+    sample_mme_1d tags its samples "inverse-CDF" or "chain-simulation";
+    other inputs may carry any tag.
     """
 
     points: np.ndarray
@@ -490,6 +491,11 @@ def box_count_table(
     distinct values.  Points must be an (n,) or (n, d) array of finite
     values, scales finite and positive, and every p / eps finite: a value
     box counting cannot place is an error.
+
+    The quotient p / eps is rounded, so a point on a box boundary can land
+    one box to the left, and a count can exceed the set's own: on the
+    middle-thirds Cantor set a count at eps = 3^-k can exceed its 2^k
+    triadic intervals.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

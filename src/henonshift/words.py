@@ -2,8 +2,7 @@
 
 Symbols carry an order; words are finite symbol strings whose order is the
 sum.  The full model saturates the two-symbols-per-order bound, which turns
-every counting lemma into an exact recursion.  On top of that sit
-Xi-regularity, the aleph cutoff, common-sequence validation, right
+every counting lemma into an exact recursion.  On top of that sit right
 divisibility, the word-counting DPs, synthetic loop censuses, and the
 covering-sum dimension bounds.
 """
@@ -23,21 +22,9 @@ __all__ = [
     "Symbol",
     "Word",
     "UNIT_WORD",
-    "symbol_to_dict",
-    "symbol_from_dict",
-    "word_to_dicts",
-    "word_from_dicts",
     "SuitabilityModel",
     "full_model",
-    "simple_only_model",
     "model_from_dict",
-    "model_to_dict",
-    "s_plus",
-    "s_minus",
-    "is_xi_regular",
-    "aleph",
-    "CommonSequenceReport",
-    "validate_common_sequence",
     "divides",
     "canonical_spellings",
     "count_sharp",
@@ -141,52 +128,13 @@ class Word(_HashOnce):
 UNIT_WORD = Word(())
 
 
-def symbol_to_dict(s: Symbol) -> dict:
-    return {
-        "kind": s.kind,
-        "order": "inf" if math.isinf(s.order) else int(s.order),
-        "sign": s.sign,
-        "depth": s.depth,
-    }
-
-
-def symbol_from_dict(d: dict) -> Symbol:
-    order = d["order"]
-    return Symbol(
-        kind=d["kind"],
-        order=math.inf if order == "inf" else int(order),
-        sign=d.get("sign", "+"),
-        depth=d.get("depth"),
-    )
-
-
-def word_to_dicts(w: Word) -> list[dict]:
-    """Word as a JSON-ready array of {kind, order, sign, depth} entries."""
-    return [symbol_to_dict(s) for s in w.symbols]
-
-
-def word_from_dicts(entries: Sequence[dict]) -> Word:
-    return Word(tuple(symbol_from_dict(d) for d in entries))
-
-
-def s_plus() -> Symbol:
-    """The order-2 simple symbol whose box avoids the fixed point."""
-    return Symbol("simple", 2, "+")
-
-
-def s_minus() -> Symbol:
-    """The order-2 simple symbol whose box contains the fixed point."""
-    return Symbol("simple", 2, "-")
-
-
 @dataclass
 class _Counts:
     """Exact count series of one model, each grown in place only as far as a
-    call asks: per-order multiplicities, words w_n, prime words P_n and
-    first returns Z*_n, all indexed by order.  Growth takes no lock, so two
-    threads must not grow one model's table at the same time."""
+    call asks: words w_n, prime words P_n and first returns Z*_n, all
+    indexed by order.  Growth takes no lock, so two threads must not grow
+    one model's table at the same time."""
 
-    mult: list[int] = field(default_factory=list)
     w: list[int] = field(default_factory=lambda: [1, 0])
     P: list[int] = field(default_factory=lambda: [0, 0])
     Z: list[int] = field(default_factory=lambda: [0, 0])
@@ -194,21 +142,15 @@ class _Counts:
 
 @dataclass(frozen=True)
 class SuitabilityModel:
-    """Which symbols may extend a word, and with what multiplicity.
+    """Which symbols may extend a word: the full model.
 
-    The full model is prefix-independent and saturates the bound of two
-    symbols per order: simple orders 2..M, the square at order M+1,
-    parabolic orders >= M+2.  The counting lemmas then hold as exact
-    recursions instead of inequalities.  simple_orders restricts the
-    simple part to an explicit table when not None.
+    It is prefix-independent and saturates the bound of two symbols per
+    order: simple orders 2..M, the square at order M+1, parabolic orders
+    >= M+2.  The counting lemmas then hold as exact recursions instead of
+    inequalities.
     """
 
     M: int
-    include_square: bool = True
-    include_parabolic: bool = True
-    multiplicity: int = 2
-    simple_orders: tuple[int, ...] | None = None
-    name: str = "full"
     _counts: _Counts = field(
         default_factory=_Counts, init=False, repr=False, compare=False
     )
@@ -216,53 +158,30 @@ class SuitabilityModel:
     def __post_init__(self) -> None:
         if self.M < 4:
             raise ValueError("M must be >= 4")
-        if not (1 <= self.multiplicity <= 2):
-            raise ValueError("per-order multiplicity is at most 2")
-        if self.simple_orders is not None:
-            bad = [k for k in self.simple_orders if not 2 <= k <= self.M]
-            if bad:
-                raise ValueError(f"simple orders outside [2, M]: {bad}")
 
     def multiplicity_of_order(self, k: int) -> int:
         """Number of symbols of order k (0 when inadmissible)."""
-        if k < 2:
-            return 0
-        if k <= self.M:
-            if self.simple_orders is not None and k not in self.simple_orders:
-                return 0
-            return self.multiplicity
-        if k == self.M + 1:
-            return self.multiplicity if self.include_square else 0
-        return self.multiplicity if self.include_parabolic else 0
+        return 2 if k >= 2 else 0
 
     def symbols_of_order(self, k: int) -> tuple[Symbol, ...]:
-        mult = self.multiplicity_of_order(k)
-        if mult == 0:
+        if k < 2:
             return ()
-        signs = ("+", "-")[:mult]
         if k <= self.M:
-            return tuple(Symbol("simple", k, s) for s in signs)
+            return tuple(Symbol("simple", k, s) for s in "+-")
         if k == self.M + 1:
-            return tuple(Symbol("square", k, s) for s in signs)
-        return tuple(Symbol("parabolic", k, s, depth=k - self.M - 1) for s in signs)
+            return tuple(Symbol("square", k, s) for s in "+-")
+        return tuple(Symbol("parabolic", k, s, depth=k - self.M - 1) for s in "+-")
 
 
 def full_model(M: int) -> SuitabilityModel:
-    return SuitabilityModel(M=M, name="full")
-
-
-def simple_only_model(M: int) -> SuitabilityModel:
-    """No square and no parabolic symbols; covering families are empty."""
-    return SuitabilityModel(
-        M=M, include_square=False, include_parabolic=False, name="simple_only"
-    )
+    return SuitabilityModel(M=M)
 
 
 def model_from_dict(data: dict) -> tuple[SuitabilityModel, Params]:
-    """Build (model, params) from {"M":..., "b":..., "model": "full"}.
+    """Build (model, params) from {"M": ..., "b": ..., "model": "full"}.
 
-    Optional keys: "multiplicity", "simple_orders", "include_square",
-    "include_parabolic" for explicit symbol tables.
+    "b" (default 0) and "model" (default "full") may be left out; any
+    other key, or another model name, is refused.
     """
     try:
         M = int(data["M"])
@@ -271,173 +190,12 @@ def model_from_dict(data: dict) -> tuple[SuitabilityModel, Params]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     params = Params(M=M, b=b)
-    if name == "full":
-        model = SuitabilityModel(
-            M=M,
-            multiplicity=int(data.get("multiplicity", 2)),
-            include_square=bool(data.get("include_square", True)),
-            include_parabolic=bool(data.get("include_parabolic", True)),
-            simple_orders=(
-                tuple(int(k) for k in data["simple_orders"])
-                if "simple_orders" in data
-                else None
-            ),
-            name="full",
-        )
-    elif name == "simple_only":
-        model = simple_only_model(M)
-    else:
+    if name != "full":
         raise ValueError(f"unknown model name {name!r}")
-    return model, params
-
-
-def model_to_dict(model: SuitabilityModel, params: Params) -> dict:
-    out = {"M": model.M, "b": params.b, "model": model.name}
-    if model.multiplicity != 2:
-        out["multiplicity"] = model.multiplicity
-    if model.simple_orders is not None:
-        out["simple_orders"] = list(model.simple_orders)
-    if not model.include_square:
-        out["include_square"] = False
-    if not model.include_parabolic:
-        out["include_parabolic"] = False
-    return out
-
-
-# ---------------------------------------------------------------------------
-# regularity, aleph, common sequences
-
-
-def is_xi_regular(w: Word, xi: float, params: Params) -> bool:
-    """Every symbol obeys n_i <= M + xi * (order of the strict prefix).
-
-    Evaluated in log form when the symbol order exceeds M, so xi as large
-    as e^{sqrt M} never overflows.  Forces the first symbol to be simple
-    (prefix order 0 leaves only n_1 <= M).
-    """
-    if not w.symbols:
-        raise ValueError("regularity is defined for nonempty words")
-    M = params.M
-    prefix = 0.0
-    for sym in w.symbols:
-        n = sym.order
-        if n > M:
-            # need n - M <= xi * prefix, compared via logs
-            if xi <= 0.0 or prefix <= 0.0:
-                return False
-            if math.isinf(n):
-                return False
-            if math.log(n - M) > math.log(xi) + math.log(prefix):
-                return False
-        prefix += n
-    return True
-
-
-def aleph(i: int, params: Params) -> int:
-    """Run-length cutoff: [log M / 6c+] at i = 0, [c (i + M) / 6c+] after."""
-    if i < 0:
-        raise ValueError("aleph is defined for i >= 0")
-    if i == 0:
-        return math.floor(math.log(params.M) / (6.0 * params.c_plus))
-    return math.floor(params.c * (i + params.M) / (6.0 * params.c_plus))
-
-
-def _piece_tag(w: Word) -> str:
-    """simple: a single simple symbol; square: contains a square segment."""
-    if len(w) == 1 and w.symbols[0].kind == "simple":
-        return "simple"
-    if any(s.kind in ("square", "square_c") for s in w.symbols):
-        return "square"
-    return "invalid"
-
-
-@dataclass(frozen=True)
-class CommonSequenceReport:
-    """Per-condition outcome for a candidate common sequence.
-
-    condition1 (geometric attachment of each piece to the running curve)
-    is not representable in the symbol model and is reported unchecked.
-    passed covers conditions 2-4 only.  depth_order_ok records the
-    order <= M * depth consequence for the sequence as given.
-    """
-
-    depth: int
-    total_order: float
-    condition1: str
-    condition2_ok: bool
-    condition2_failures: tuple[int, ...]
-    condition3_ok: bool
-    condition3_failures: tuple[int, ...]
-    condition4_ok: bool
-    condition4_failures: tuple[int, ...]
-    depth_order_ok: bool
-    passed: bool
-
-
-def validate_common_sequence(seq: Sequence[Word], params: Params) -> CommonSequenceReport:
-    """Check conditions 2-4 of the common-sequence definition.
-
-    2: each piece is a single simple symbol or has a square segment.
-    3: for every prefix, the total order of pieces of order >= M+1 is at
-       most e^{-sqrt M} times the order of the strictly earlier pieces.
-    4: a run of k consecutive s_- pieces starting after position n needs
-       k < aleph(n); the same bound applies when the run is preceded by
-       one s_+ at position n+1.
-    """
-    M = params.M
-    orders = [w.order for w in seq]
-    j_count = len(seq)
-
-    fail2 = tuple(
-        j for j, w in enumerate(seq, start=1) if _piece_tag(w) == "invalid"
-    )
-
-    fail3: list[int] = []
-    damp = math.exp(-math.sqrt(M))
-    heavy = 0.0
-    earlier = 0.0
-    for j in range(1, j_count + 1):
-        n_j = orders[j - 1]
-        if n_j >= M + 1:
-            heavy += n_j
-        if heavy > damp * earlier:
-            fail3.append(j)
-        earlier += n_j
-
-    sm = Word((s_minus(),))
-    sp = Word((s_plus(),))
-    fail4: list[int] = []
-    j = 0
-    while j < j_count:
-        if seq[j] == sm:
-            start = j
-            while j < j_count and seq[j] == sm:
-                j += 1
-            run = j - start
-            # suffix of the run starting at alpha_{n+1} has length run - off
-            for off in range(run):
-                if run - off >= aleph(start + off, params):
-                    fail4.append(start + off + 1)
-            if start >= 1 and seq[start - 1] == sp:
-                if run >= aleph(start - 1, params):
-                    fail4.append(start)  # position of the s_+ prefix
-        else:
-            j += 1
-
-    total = sum(orders)
-    return CommonSequenceReport(
-        depth=j_count,
-        total_order=total,
-        condition1="unchecked",
-        condition2_ok=not fail2,
-        condition2_failures=fail2,
-        condition3_ok=not fail3,
-        condition3_failures=tuple(fail3),
-        condition4_ok=not fail4,
-        condition4_failures=tuple(sorted(set(fail4))),
-        depth_order_ok=bool(total <= M * j_count),
-        passed=not (fail2 or fail3 or fail4),
-    )
+    unknown = sorted(set(data) - {"M", "b", "model"})
+    if unknown:
+        raise ValueError(f"unknown model keys {unknown}")
+    return SuitabilityModel(M=M), params
 
 
 # ---------------------------------------------------------------------------
@@ -571,30 +329,23 @@ def _canonical_word(M: int, d: int) -> Word:
 
 
 # Each series below is grown in place to order N (at least) and returned.
-
-
-def _mult(model: SuitabilityModel, N: int) -> list[int]:
-    mult = model._counts.mult
-    mult.extend(model.multiplicity_of_order(k) for k in range(len(mult), N + 1))
-    return mult
+# The full model has two symbols of every order >= 2.
 
 
 def _sharp(model: SuitabilityModel, N: int) -> list[int]:
     w = model._counts.w
-    mult = _mult(model, N)
-    for n in range(len(w), N + 1):
-        w.append(sum(map(mul, mult[2 : n + 1], w[n - 2 :: -1])))
+    for n in range(len(w), N + 1):  # last symbol of order k = 2..n
+        w.append(2 * sum(w[: n - 1]))
     return w
 
 
 def _primes(model: SuitabilityModel, N: int) -> list[int]:
     P = model._counts.P
-    mult = _mult(model, N)
     M = model.M
     for m in range(len(P), N + 1):
-        acc = mult[m] if m <= M else 0
+        acc = 2 if m <= M else 0
         if m > M + 2:  # last non-simple symbol of order M+1..m-2
-            acc += sum(map(mul, mult[M + 1 : m - 1], P[m - M - 1 : 1 : -1]))
+            acc += 2 * sum(P[2 : m - M])
         P.append(acc)
     return P
 
@@ -714,36 +465,29 @@ def block_sum(
     M = model.M
     geo = x / (1.0 - x)
 
-    total = 0.0
     # single-symbol blocks: square at M+1 and parabolic orders >= M+2
-    if model.include_square:
-        total += model.multiplicity * math.exp(-rate * (M + 1))
-    if model.include_parabolic:
-        total += model.multiplicity * math.exp(-rate * (M + 1)) * geo
+    single = 2 * math.exp(-rate * (M + 1))
+    total = single + single * geo
 
-    diverged = False
-    if model.include_parabolic:
-        # prefix of order n, then a symbol of order at least floor(M + Xi n) + 1
-        log_growth = math.log(2.0) - rate * (1.0 + params.Xi)
-        if log_growth >= 0.0:
-            diverged = True
-        n = 2
-        while True:
-            sharp = _sharp(model, n)[n]
-            if sharp:
-                m0 = M + params.Xi * n
-                if not math.isfinite(m0) or m0 > 1e306:
-                    break  # weights underflow to zero beyond here
-                exponent = -rate * (math.floor(m0) + 1)
-                term = model.multiplicity * sharp * math.exp(exponent) * (1.0 + geo)
-                # term covers orders m0+1, m0+2, ... via the geometric factor
-                if term == 0.0 or (total > 0 and term < total * 1e-18):
-                    if not diverged:
-                        break
-                total += term
-            n += 1
-            if n > 4000 or (diverged and n > 64):
-                break
+    # prefix of order n, then a symbol of order at least floor(M + Xi n) + 1
+    diverged = math.log(2.0) - rate * (1.0 + params.Xi) >= 0.0
+    n = 2
+    while True:
+        sharp = _sharp(model, n)[n]
+        if sharp:
+            m0 = M + params.Xi * n
+            if not math.isfinite(m0) or m0 > 1e306:
+                break  # weights underflow to zero beyond here
+            exponent = -rate * (math.floor(m0) + 1)
+            term = 2 * sharp * math.exp(exponent) * (1.0 + geo)
+            # term covers orders m0+1, m0+2, ... via the geometric factor
+            if term == 0.0 or (total > 0 and term < total * 1e-18):
+                if not diverged:
+                    break
+            total += term
+        n += 1
+        if n > 4000 or (diverged and n > 64):
+            break
     return total, diverged
 
 
@@ -825,8 +569,8 @@ def dimension_upper_bound(
     Certifies s when Psi_0 > Psi_1 > ... > Psi_12 (_N_MAX = 12) of the
     cardinality-weighted covering sums strictly decay with no divergence flag;
     returns 3 s (capped at 1), mirroring the diameter-exponent tripling of
-    the covering argument.  An empty block family certifies bound 0; no
-    certifying grid point returns 1 with a warning.
+    the covering argument.  No certifying grid point returns 1 with a
+    warning.
     """
     if not s_grid or any(
         s2 <= s1 for s1, s2 in zip(s_grid, list(s_grid)[1:])
@@ -835,21 +579,8 @@ def dimension_upper_bound(
     if any(not 0.0 < s <= 1.0 for s in s_grid):
         raise ValueError("grid exponents must lie in (0, 1]")
     factor, weight = 3.0, "cardinality"
-
-    last = block_sum(model, params, s_grid[-1], weight)
-    if last[0] == 0.0:
-        return DimensionBound(
-            bound=0.0,
-            s_star=None,
-            certified=True,
-            factor=factor,
-            weight=weight,
-            N_max=_N_MAX,
-            warning="covering family is empty (no tail blocks)",
-        )
-
     for s in s_grid:
-        blocks, diverged = last if s == s_grid[-1] else block_sum(model, params, s, weight)
+        blocks, diverged = block_sum(model, params, s, weight)
         if diverged:
             continue
         prefixes = _prefix_sums(model, _weight_rate(s, weight, params), _N_MAX)

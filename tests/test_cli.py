@@ -23,7 +23,6 @@ from henonshift.markov import graph_from_dict, gurevich_entropy
 from henonshift.orbits import (
     EntropyEstimate,
     EquidistReport,
-    census_to_csv,
     periodic_orbits_2d,
 )
 from henonshift.stats import CltReport, DecayFit
@@ -142,6 +141,8 @@ _BAD_DOCS = {
     "undeclared": {"vertices": ["0", "1"], "base": "0", "arrows": [["0", "1"], ["1", "2"]]},
     "model_bad_m": {"M": "x"},
     "model_bad_name": {"M": 60, "model": "nope"},
+    "model_simple_only": {"M": 60, "model": "simple_only"},
+    "model_multiplicity": {"M": 60, "b": 0.0, "model": "full", "multiplicity": 1},
     "model_ok": {"M": 60},
     "points": "0.1,0.2\n0.3,0.4\n",
 }
@@ -158,6 +159,8 @@ _BOXDIM = ["stats", "boxdim", "--set", "square", "--n", "1000", "--seed", "1", "
         ["shift", "entropy", "--graph", "{undeclared}"],
         ["stats", "return-decay", "--model", "{model_bad_m}"],
         ["stats", "return-decay", "--model", "{model_bad_name}"],
+        ["stats", "return-decay", "--model", "{model_simple_only}"],
+        ["stats", "return-decay", "--model", "{model_multiplicity}"],
         ["stats", "mixing", "--seed", "1", "--n", "1000", "--g", "cheb:x"],
         ["stats", "mixing", "--seed", "1", "--n", "1000", "--g", "bump:1"],
         ["shift", "equidist", "--graph", "{golden}", "--p", "8", "--cylinder", "zz"],
@@ -353,9 +356,12 @@ def test_orbits_census_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "least_period", "x", "y", "mult1", "mult2", "residual"]
     assert sum(int(r[1]) for r in rows[1:]) == 8
-    # the library writer formats the same census identically
+    # the same rows as the library census on the default grid, in csv's own
+    # format
     lib = tmp_path / "lib.csv"
-    census_to_csv(periodic_orbits_2d(HenonMap(a=-2.0, b=0.0), 3, grid=(256, 8)), str(lib))
+    census = periodic_orbits_2d(HenonMap(a=-2.0, b=0.0), 3, grid=(256, 8))
+    with open(lib, "w", newline="") as fh:
+        csv.writer(fh).writerows([orbits._CENSUS_CSV_HEADER, *orbits._census_csv_rows(census)])
     assert lib.read_bytes() == out.read_bytes()
 
 

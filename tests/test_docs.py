@@ -5,6 +5,7 @@ they do not use, and every private helper they define is used."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -143,6 +144,63 @@ def test_private_helpers_are_used():
         and total[node.name] <= _name_uses(node)[node.name]
     ]
     assert trees and not dead, dead
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level functions, classes and assigned names without a
+    leading underscore, each with the statement that defines it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out += [(name, node) for name in names if not name.startswith("_")]
+    return out
+
+
+def test_public_names_have_callers():
+    # every public name a module defines (everything in __all__ among
+    # them) must be referenced in the package outside its own definition,
+    # in a demo or in the benchmark, or it is a name only the tests use; a
+    # type that a public function returns or raises is referenced where the
+    # function builds or raises it.  __init__.py only re-exports.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "henonshift").glob("*.py"))
+             if path.name != "__init__.py"}
+    others = [path for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))]
+    total = sum((_name_uses(tree) for tree in trees.values()), Counter())
+    total += sum((_name_uses(ast.parse(p.read_text(encoding="utf-8"))) for p in others), Counter())
+    unused = []
+    for name, tree in trees.items():
+        unused += [
+            f"{name}:{node.lineno} {public}"
+            for public, node in _public_definitions(tree)
+            if total[public] <= _name_uses(node)[public]
+        ]
+    assert trees and not unused, unused
+
+
+def test_every_export_resolves():
+    # each __all__ entry is a name of its module, and each package-level
+    # re-export is in the __all__ of the module it comes from
+    for path in sorted((ROOT / "src" / "henonshift").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"henonshift.{path.stem}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (path.name, missing)
+    tree = ast.parse((ROOT / "src" / "henonshift" / "__init__.py").read_text(encoding="utf-8"))
+    reexports = [(node.module, a.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names]
+    assert reexports
+    stray = [f"{m}.{n}" for m, n in reexports
+             if n not in importlib.import_module(f"henonshift.{m}").__all__]
+    assert not stray, stray
 
 
 def test_public_parameters_have_callers():

@@ -22,11 +22,11 @@ from henonshift.markov import (
     CylinderWord,
     LoopCensus,
     MarkovGraph,
+    MaxEntropyChain,
     NotStronglyConnectedError,
     build_mme,
     chain_entropy,
     count_loops,
-    cycle_graph,
     equidistribution_cylinder,
     full_shift_graph,
     golden_mean_graph,
@@ -34,18 +34,44 @@ from henonshift.markov import (
     graph_to_dict,
     graph_period,
     gurevich_entropy,
-    is_mixing,
     is_spr,
-    load_graph,
     perron,
     radii,
-    return_time_tail,
-    self_loop_graph,
     shift_periodic_census,
-    strongly_connected_defect,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def cycle_graph(n: int) -> MarkovGraph:
+    vs = tuple(str(i) for i in range(n))
+    arrows = frozenset((vs[i], vs[(i + 1) % n]) for i in range(n))
+    return MarkovGraph(vs, arrows, "0")
+
+
+def self_loop_graph() -> MarkovGraph:
+    return MarkovGraph(("e",), frozenset({("e", "e")}), "e")
+
+
+def strongly_connected_defect(graph: MarkovGraph) -> tuple[str, str] | None:
+    """None when strongly connected, else a vertex pair (u, v) with no
+    path u -> v."""
+    return markov._defect_and_depths(graph)[0]
+
+
+def is_mixing(graph: MarkovGraph) -> bool:
+    """Topological mixing: strongly connected with coprime loop lengths."""
+    try:
+        return graph_period(graph) == 1
+    except NotStronglyConnectedError:
+        return False
+
+
+def return_time_tail(chain: MaxEntropyChain, census: LoopCensus, n: int) -> float:
+    """pi_e Z*_n e^{-n h_top}: the first-return probability at time n."""
+    if not (1 <= n <= census.horizon):
+        raise ValueError("n must lie within the census horizon")
+    return chain.pi_of(census.base) * census.zstar(n) * math.exp(-n * chain.h_top)
 
 
 def renewal_shift(n: int) -> MarkovGraph:
@@ -555,6 +581,13 @@ def test_cylinder_rejects_unknown_vertex():
             equidistribution_cylinder(g, 8, CylinderWord(word), chain)
 
 
+def test_cylinder_refuses_a_chain_over_other_vertices():
+    g = golden_mean_graph()
+    flipped = MarkovGraph(("1", "0"), g.arrows, "0")
+    with pytest.raises(ValueError, match="chain's vertices"):
+        equidistribution_cylinder(g, 8, CylinderWord(("0",)), build_mme(perron(flipped), flipped))
+
+
 def _exact_adjacency(g: MarkovGraph) -> np.ndarray:
     """Integer adjacency as Python ints (object dtype), from the arrows."""
     A = np.zeros((g.n, g.n), dtype=object)
@@ -585,6 +618,10 @@ def _check_counts_against_matrix_powers(g: MarkovGraph, p_max: int) -> None:
             if all(A[a, b] for a, b in zip(i, i[1:])):
                 count = np.linalg.matrix_power(A, p - k)[i[-1], i[0]]
                 assert comp.empirical == count / total
+                mme = chain.pi_of(w[0])  # the chain's mass, read by vertex name
+                for a, b in zip(i, i[1:]):
+                    mme *= float(chain.p[a, b])
+                assert comp.mme == mme
             else:
                 assert comp.empirical == 0.0
 
@@ -685,21 +722,11 @@ def test_perron_output_does_not_depend_on_hash_seed():
 # i/o and misc
 
 
-def test_graph_json_roundtrip(tmp_path):
+def test_graph_json_roundtrip():
     g = golden_mean_graph()
     data = graph_to_dict(g)
     assert graph_from_dict(data) == g
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(data))
-    assert load_graph(str(path)) == g
-
-
-def test_load_graph_malformed_raises_with_position(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"vertices": [}')
-    with pytest.raises(json.JSONDecodeError) as err:
-        load_graph(str(path))
-    assert err.value.lineno == 1
+    assert graph_from_dict(json.loads(json.dumps(data))) == g
 
 
 def test_return_time_tail_golden():

@@ -17,17 +17,14 @@ from henonshift import orbits
 from henonshift.henon import HenonMap, _orbit_batch
 from henonshift.orbits import (
     arcsine_cdf,
-    census_to_csv,
     chebyshev_fixed_points,
     entropy_from_census,
     equidistribution_test,
     exceptional_bound,
     fixed_points_1d,
-    k_square_entropy,
     periodic_orbits_2d,
-    square_horseshoe_censuses,
 )
-from henonshift.orbits import _default_seed_grid, _newton_batch
+from henonshift.orbits import _CENSUS_CSV_HEADER, _census_csv_rows, _default_seed_grid, _newton_batch
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +731,63 @@ def test_census_2d_refine_check_is_one_newton_batch(p, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# exact power sums over Fix f^p
+
+
+# Over all 2^p points of Fix f^p in C^2, counted with multiplicity, sum x = 0
+# for p >= 2 and sum x^2 = -a 2^p, for every b.  A census that finds all
+# 2^p points must meet both at rounding level.
+_ROUNDING = 128 * np.finfo(float).eps
+
+
+def _assert_power_sums(x: np.ndarray, a: float, p: int) -> None:
+    assert len(x) == 2**p
+    assert abs(x.sum()) <= _ROUNDING * np.abs(x).sum()
+    assert abs((x * x).sum() + a * 2**p) <= _ROUNDING * (x * x).sum()
+
+
+@pytest.mark.parametrize("a", [-2.0, -2.5, -3.0])
+@pytest.mark.parametrize("p", [2, 6, 10, 14])
+def test_census_1d_meets_the_exact_power_sums(a, p):
+    _assert_power_sums(fixed_points_1d(a, p), a, p)
+
+
+# Every 2-D census of a built-in map in this suite that reports all 2^p
+# points (p >= 2), as grid -> periods per map, with both horseshoe maps at
+# p = 6 on the 1024x8 grid.
+_FULL_2D_CENSUSES = {
+    (-2.0, 0.0, "zero"): {(256, 8): (2, 3, 4, 5, 6, 8), (1024, 8): (6,)},
+    (-1.9, 0.0, "zero"): dict.fromkeys(
+        [(32, 1), (64, 1), (64, 2), (128, 4), (256, 4), (512, 8)], (2, 3)
+    ),
+    (-1.999, 1e-6, "classical"): {
+        (32, 1): (2, 3, 4, 5), (32, 2): (2, 3, 4), (64, 1): (2, 3, 4, 5, 6),
+        (64, 2): (2, 3, 4, 5, 6), (128, 4): (2, 3, 4, 5, 6), (256, 4): (2, 3, 4, 5, 6),
+        (256, 8): (2, 4, 6), (512, 8): (2, 3, 4, 5, 6), (1024, 4): (2, 3, 4, 5, 6),
+    },
+    (-1.99, 1e-6, "classical"): {(128, 4): (4,)},
+    (-1.9, 0.01, "classical"): dict.fromkeys(
+        [(32, 1), (64, 1), (64, 2), (128, 4), (256, 4), (512, 8)], (2, 3)
+    ),
+    (-1.8, 0.03, "classical"): dict.fromkeys(
+        [(32, 1), (64, 1), (64, 2), (128, 4), (256, 4), (512, 8)], (2,)
+    ),
+    (-1.4, 0.3, "classical"): dict.fromkeys(
+        [(32, 1), (64, 1), (64, 2), (128, 4), (256, 4), (512, 8)], (2,)
+    ),
+    (-2.5, 0.01, "classical"): {(1024, 8): (6,)},
+}
+
+
+@pytest.mark.parametrize(("a", "b", "perturbation"), list(_FULL_2D_CENSUSES))
+def test_census_2d_meets_the_exact_power_sums(a, b, perturbation):
+    m = HenonMap(a=a, b=b, perturbation=perturbation)
+    for grid, periods in _FULL_2D_CENSUSES[a, b, perturbation].items():
+        for p in periods:
+            _assert_power_sums(periodic_orbits_2d(m, p, grid=grid).points[:, 0], a, p)
+
+
+# ---------------------------------------------------------------------------
 # entropy estimates
 
 
@@ -863,15 +917,9 @@ def test_exceptional_bound_ratio_below_one_eventually():
 # square-symbol subsystem
 
 
-def test_k_square_entropy_value():
-    assert k_square_entropy(3) == pytest.approx(math.log(2.0) / 4.0, abs=1e-15)
-    assert k_square_entropy(1000) == pytest.approx(math.log(2.0) / 1001.0, abs=1e-18)
-
-
 def test_square_horseshoe_census_counts():
-    data = square_horseshoe_censuses(3, 5)
-    assert data == [(4 * n, 2**n) for n in range(1, 6)]
-    est = entropy_from_census(data)
+    # at M = 3 the return map at time M + 1 = 4 is a full 2-shift
+    est = entropy_from_census([(4 * n, 2**n) for n in range(1, 6)])
     assert est.slope == pytest.approx(math.log(2.0) / 4.0, abs=1e-12)
 
 
@@ -883,7 +931,8 @@ def test_census_csv_roundtrip(tmp_path):
     m = HenonMap(a=-2.0, b=0.0)
     census = periodic_orbits_2d(m, 3)
     path = tmp_path / "census.csv"
-    census_to_csv(census, str(path))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([_CENSUS_CSV_HEADER, *_census_csv_rows(census)])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "least_period", "x", "y", "mult1", "mult2", "residual"]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from henonshift import stats
 from henonshift.henon import HenonMap
-from henonshift.markov import build_mme, full_shift_graph, perron, self_loop_graph
+from henonshift.markov import MarkovGraph, build_mme, full_shift_graph, perron
 from henonshift.orbits import arcsine_cdf
 from henonshift.stats import (
     box_count_table,
@@ -536,7 +536,7 @@ def test_return_decay_golden_mean_finite_returns_degenerate():
 def test_return_decay_self_loop_degenerate():
     from henonshift.markov import count_loops
 
-    g = self_loop_graph()
+    g = MarkovGraph(("e",), frozenset({("e", "e")}), "e")
     chain = build_mme(perron(g), g)
     census = count_loops(g, 20)
     fit = return_decay_check(chain, census, 0.0)
